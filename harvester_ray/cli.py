@@ -287,28 +287,21 @@ def cmd_snapshot(args) -> int:
 def cmd_snapshots(args) -> int:
     import os
 
-    from harvester_ray.state.backup import BACKUP_MANIFEST
+    from harvester_ray.state.backup import list_snapshots
 
-    root = args.backups
-    rows = []
-    if os.path.isdir(root):
-        for d in sorted(os.listdir(root)):
-            mp = os.path.join(root, d, BACKUP_MANIFEST)
-            if d.startswith("snap-") and ".tmp-" not in d and os.path.isfile(mp):
-                with open(mp) as f:
-                    m = json.load(f)
-                rows.append(
-                    {
-                        "snapshot": d,
-                        "taken_at": m["taken_at"],
-                        "n_files": m["n_files"],
-                        "source": m["source"],
-                    }
-                )
-    rows.sort(key=lambda r: r["taken_at"])
-    for r in rows:
-        print(json.dumps(r))
-    print(json.dumps({"n_snapshots": len(rows)}))
+    snaps = list_snapshots(args.backups)
+    for p, m in snaps:
+        print(
+            json.dumps(
+                {
+                    "snapshot": os.path.basename(p),
+                    "taken_at": m["taken_at"],
+                    "n_files": m["n_files"],
+                    "source": m["source"],
+                }
+            )
+        )
+    print(json.dumps({"n_snapshots": len(snaps)}))
     return 0
 
 

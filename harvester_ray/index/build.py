@@ -651,13 +651,16 @@ def compute_chunk_bounds(doc_table_dir: str, n_chunks: int) -> list[int]:
                 lo_u + (int(cell_ids[i]) + 1) * width - 1, (1 << 64) - 1
             )
             bounds.append(b_u - (1 << 63))  # back to signed
-    out: list[int] = []
-    prev = None
-    for b in bounds:  # strictly increasing (empty chunks are legal)
-        if prev is not None and b <= prev:
-            b = prev + 1
-        out.append(min(b, _INT64_MAX - 1))
-        prev = out[-1]
+    # strictly increasing (empty chunks are legal) and at most
+    # INT64_MAX-1: a forward pass lifts repeats, then a backward pass
+    # lowers bounds under the clamp without breaking the increase
+    out = [int(b) for b in bounds]
+    for i in range(1, len(out)):
+        out[i] = max(out[i], out[i - 1] + 1)
+    top = _INT64_MAX - 1
+    for i in reversed(range(len(out))):
+        out[i] = min(out[i], top)
+        top = out[i] - 1
     return out
 
 
@@ -1169,7 +1172,7 @@ def build_index(
                 ),
                 # serving tiers need the bucket count: doc shards select
                 # segment files by chunk suffix, term shards by bucket
-                # prefix (index/sharded.py routes a query term to shard
+                # prefix (index/serving.py routes a query term to row
                 # (hash(term_id) % num_term_buckets) % n_term_shards)
                 "num_term_buckets": (
                     cfg.num_term_buckets if bucketed else None

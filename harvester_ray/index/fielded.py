@@ -1,5 +1,5 @@
 """BM25F fielded index: per-field postings in the engine's own segment
-format + a fielded serving wrapper.
+format + the single-process fielded ranker.
 
 The reference's index document is many-field (map_couch_to_solr_doc
 emits title/creator/subject/description fields,
@@ -13,9 +13,11 @@ weighted, length-normalized tfs are summed BEFORE the k1 saturation,
 idf comes from the whole-document dictionary.
 
 Scale story: a field is just another index, so each field shards along
-both existing axes (doc ranges via ``shard=``, vocabulary via
-``term_shard=``) with no new machinery; the only cross-field state a
-serving actor needs is the per-field (weight, b, avgdl) triple.
+both axes of the serving grid (index/serving.py, payload ``bm25f``: a
+cell loads the ``term_shard``/``shard`` slice of the main AND every
+field index, and ships ``FieldedIndex.term_contributions``) with no new
+machinery; the only cross-field state a cell needs is the per-field
+(weight, b, avgdl) triple.
 
 Exactness contract (shared with pipelines.fulltext.bm25f_topk and the
 BM25F_TOPK DuckDB oracle): the per-(term, doc) contribution is a single
@@ -227,187 +229,3 @@ def _topk_from_contributions(
         (r, int(uids[i]), int(sums[i]))
         for r, i in enumerate(order, start=1)
     ]
-
-
-class TermShardedFieldedIndex:
-    """BM25F over VOCABULARY-partitioned per-field indexes.
-
-    Cell s of T holds the ``term_shard=(s, T)`` slice of the main
-    dictionary AND of every field index — all indexes share the
-    ``hash64(term) % num_term_buckets`` bucket map, so a term is owned
-    by exactly one cell consistently across main and fields, and cell
-    memory is ∝ vocab/T. A query term's (doc, fp8) contributions come
-    from its single owning cell; contributions are row-local floats
-    fixed-pointed at the (term, doc) row, so the fused ranking is
-    bit-identical to the single-process FieldedIndex (tested)."""
-
-    def __init__(self, cells: list[FieldedIndex]):
-        self.cells = cells
-
-    @classmethod
-    def load(
-        cls,
-        main_dir: str,
-        fields: list[tuple[FieldSpec, str]],
-        n_shards: int,
-    ) -> "TermShardedFieldedIndex":
-        cells = []
-        for s in range(n_shards):
-            main = InvertedIndex(main_dir, term_shard=(s, n_shards))
-            cells.append(
-                FieldedIndex(
-                    main,
-                    [
-                        (
-                            spec,
-                            InvertedIndex(d, term_shard=(s, n_shards)),
-                        )
-                        for spec, d in fields
-                    ],
-                )
-            )
-        return cls(cells)
-
-    def search(self, query: str, k: int = 10) -> list[tuple[int, int, int]]:
-        id_parts, fp_parts = [], []
-        for t in sorted(set(self.cells[0].main.analyzer.tokenize(query))):
-            for cell in self.cells:
-                c = cell.term_contributions(t)
-                if c is not None:  # exactly one cell owns the term
-                    id_parts.append(c[0])
-                    fp_parts.append(c[1])
-                    break
-        return _topk_from_contributions(id_parts, fp_parts, k)
-
-
-@ray.remote
-class FieldedCellActor:
-    """One vocabulary shard's BM25F server: a ``FieldedIndex`` whose
-    main and per-field indexes all load only term buckets with
-    ``bucket % T == s`` — the actor form of one
-    ``TermShardedFieldedIndex`` cell. Cell memory is ∝ vocab/T plus its
-    postings slices across every field; state (dictionary parts,
-    segment datasets, per-field avgdl) loads once in ``__init__``.
-    Serves batched per-term (doc_ids, fp8 contributions); the router
-    owns the cross-term integer-sum fuse."""
-
-    def __init__(
-        self,
-        main_dir: str,
-        fields: list[tuple[FieldSpec, str]],
-        shard_idx: int,
-        n_shards: int,
-        preload: bool = True,
-    ):
-        self.cell = FieldedIndex(
-            InvertedIndex(
-                main_dir, preload=preload, term_shard=(shard_idx, n_shards)
-            ),
-            [
-                (spec, InvertedIndex(d, term_shard=(shard_idx, n_shards)))
-                for spec, d in fields
-            ],
-        )
-
-    def term_contributions(self, terms: list[str]) -> dict:
-        """{term: (doc_ids, fp8 contributions)} for the requested terms
-        present in this cell's dictionary slice."""
-        out = {}
-        for t in terms:
-            c = self.cell.term_contributions(t)
-            if c is not None:
-                out[t] = c
-        return out
-
-    def vocab_size_local(self) -> int:
-        return len(self.cell.main.dictionary)
-
-
-class DistributedFieldedIndex:
-    """Scatter-gather BM25F over T ``FieldedCellActor`` vocabulary
-    cells — the DISTRIBUTED serving tier for fielded ranking (the
-    reference analog: the sharded Solr collection with qf field
-    boosts that the harvester delegates search to).
-
-    Routing is identical to index/sharded.TermShardedIndex: a term's
-    bucket is ``hash64(term) % num_term_buckets`` (the build's own
-    side-write assignment) and shard s owns buckets ``% T == s``, so a
-    query fans out only to the cells owning its terms (≤ |terms|, not
-    T). Every per-(term, doc) contribution is fixed-pointed at the row
-    inside its owning cell and the router integer-sums, so ranks and
-    scores are bit-identical to the single-process FieldedIndex —
-    integer addition is order-independent, no accumulation-order
-    caveat. Construction validates that main and every field index
-    were built with the SAME ``num_term_buckets`` (the routing
-    invariant the in-process tier only documents)."""
-
-    def __init__(
-        self,
-        main_dir: str,
-        fields: list[tuple[FieldSpec, str]],
-        n_shards: int,
-        preload: bool = True,
-    ):
-        import json
-
-        from harvester_ray.functions.text import get_analyzer, hash64
-        from harvester_ray.index.maintenance import source_dirs
-
-        self.n_shards = n_shards
-        self._hash64 = hash64
-        nbs: set = set()
-        analyzer_name = "default"
-        for root in [main_dir] + [d for _, d in fields]:
-            for src in source_dirs(root):
-                with open(IndexPaths(src).stats) as f:
-                    st = json.load(f)
-                nbs.add(st.get("num_term_buckets"))
-                if root == main_dir:
-                    analyzer_name = st.get("analyzer", "default")
-        if len(nbs) != 1 or None in nbs:
-            raise ValueError(
-                "distributed fielded serving needs ONE num_term_buckets "
-                f"across the main and every field index (got {nbs}); "
-                "rebuild the field indexes with the main build's config"
-            )
-        self.num_term_buckets = nbs.pop()
-        self.analyzer = get_analyzer(analyzer_name)
-        self.actors = [
-            FieldedCellActor.remote(
-                main_dir, list(fields), s, n_shards, preload
-            )
-            for s in range(n_shards)
-        ]
-
-    def shard_of(self, term: str) -> int:
-        b = (self._hash64(term) & 0xFFFFFFFFFFFFFFFF) % self.num_term_buckets
-        return b % self.n_shards
-
-    def search(self, query: str, k: int = 10) -> list[tuple[int, int, int]]:
-        """[(rank, doc_id, score_fp)] — BM25F top-k through the actor
-        cells; rank by integer score DESC then doc_id ASC (the shared
-        ranking rule)."""
-        terms = sorted(set(self.analyzer.tokenize(query)))
-        if not terms:
-            return []
-        by_shard: dict[int, list[str]] = {}
-        for t in terms:
-            by_shard.setdefault(self.shard_of(t), []).append(t)
-        refs = [
-            self.actors[s].term_contributions.remote(ts)
-            for s, ts in by_shard.items()
-        ]
-        merged: dict = {}
-        for part in ray.get(refs):
-            merged.update(part)
-        id_parts = [merged[t][0] for t in terms if t in merged]
-        fp_parts = [merged[t][1] for t in terms if t in merged]
-        return _topk_from_contributions(id_parts, fp_parts, k)
-
-    def vocab_sizes(self) -> list[int]:
-        return ray.get([a.vocab_size_local.remote() for a in self.actors])
-
-    def shutdown(self) -> None:
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []

@@ -197,7 +197,7 @@ def add_docs(
     its stored WAND block maxima; the query engine rescales those
     bounds to the merged avgdl at load, so pruning stays admissible.
 
-    Doc-sharded serving (index/sharded.py) requires every source to be
+    Doc-sharded serving (index/serving.py) requires every source to be
     built with the SAME ``segment_doc_chunks``: pass the base's cfg
     here, or shard loading will reject the mismatched delta with a
     clear error.

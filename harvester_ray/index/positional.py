@@ -38,6 +38,10 @@ Scale notes (100 TB):
 - A phrase query reads only ``len(set(buckets(terms)))`` of the
   ``num_buckets`` hive partitions, with a ``term_id in (...)`` filter
   pushed to parquet (dictionary/row-group pruning).
+- The store is bucketed by the same key as the postings, so the
+  vocabulary axis shards like the index: the serving grid
+  (index/serving.py, payload ``positions``) gives term row s of T the
+  buckets with ``bucket % T == s`` and aligns phrases at the router.
 - Phrase verification is the (doc, base)-anchor groupby trick: a
   k-token phrase occurs at base position p iff for every ordinal i,
   (doc, p+i) holds term i. Each positional row explodes to
@@ -689,186 +693,3 @@ def span_near_occurrences_multi(
         .sort(["span_id", "doc_id"])
     )
     return _collect(out, empty)
-
-
-# ── term-sharded phrase serving (vocabulary-partitioned) ────────────
-#
-# The positional store is hive-bucketed by hash64(term) % num_buckets
-# (the same key as the postings buckets), so the vocabulary axis
-# shards exactly like TermShardedIndex: shard s of T owns the buckets
-# with bucket % T == s and NEVER touches the others — actor memory and
-# reads scale with vocab/T. A phrase's terms are fetched from their
-# owning shard actors (actor-local pruned parquet reads with a
-# term_id filter) and aligned at the router with the same
-# base-position semantics as phrase_occurrences_multi: doc matches
-# iff some base b has positions(term_i, doc) ∋ b + i for every slot i.
-
-
-class PositionsShardActor:
-    """One vocabulary shard of the positional store. Plain class —
-    wrap with ray.remote (TermShardedPositions does) or use inline
-    for single-process parity tests."""
-
-    def __init__(self, root: str, shard: int, n_shards: int):
-        with open(_stats_path(root)) as f:
-            self.stats = json.load(f)
-        self.num_buckets = int(self.stats["num_buckets"])
-        if n_shards < 1 or n_shards > self.num_buckets:
-            raise ValueError(
-                f"n_shards must be in [1, {self.num_buckets}]"
-            )
-        self.root = root
-        self.shard = int(shard)
-        self.n_shards = int(n_shards)
-        self.owned_buckets = [
-            b for b in range(self.num_buckets) if b % n_shards == shard
-        ]
-
-    def _bucket_of(self, tid: int) -> int:
-        return (int(tid) & 0xFFFFFFFFFFFFFFFF) % self.num_buckets
-
-    def owns(self, tid: int) -> bool:
-        return self._bucket_of(tid) % self.n_shards == self.shard
-
-    def term_positions(self, term_ids: list[int]) -> pa.Table:
-        """(term_id, doc_id, positions) for the OWNED subset of
-        ``term_ids`` — a pruned actor-local read of only the owned
-        buckets those terms hash to."""
-        import glob as _glob
-
-        import pyarrow.dataset as pads
-
-        empty = pa.table(
-            {
-                "term_id": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "positions": pa.array([], pa.list_(pa.int32())),
-            }
-        )
-        owned = [int(t) for t in term_ids if self.owns(t)]
-        if not owned:
-            return empty
-        buckets = sorted({self._bucket_of(t) for t in owned})
-        paths = [
-            fp
-            for b in buckets
-            for fp in sorted(
-                _glob.glob(
-                    os.path.join(
-                        _glob.escape(_positions_subdir(self.root)),
-                        f"bucket={b}",
-                        "part-*.parquet",
-                    )
-                )
-            )
-        ]
-        if not paths:
-            return empty
-        return pads.dataset(paths).to_table(
-            columns=["term_id", "doc_id", "positions"],
-            filter=pads.field("term_id").isin(pa.array(owned, pa.int64())),
-        )
-
-
-class TermShardedPositions:
-    """Vocabulary-partitioned phrase serving over T shard actors.
-
-    Scale story: 10⁹⁺ distinct terms of positional data cannot live in
-    one process; each shard actor's working set is its vocab/T slice
-    and the router only moves the QUERY terms' postings. Results are
-    identical to the single-pipeline phrase_occurrences_multi doc sets
-    (parity-tested), because matching is a pure set intersection over
-    (doc, base) pairs fetched per term."""
-
-    def __init__(self, root: str, n_shards: int, analyzer_name: str | None = None):
-        import ray
-
-        with open(_stats_path(root)) as f:
-            stats = json.load(f)
-        self.analyzer = get_analyzer(analyzer_name or stats["analyzer"])
-        self.num_buckets = int(stats["num_buckets"])
-        self.n_shards = int(n_shards)
-        cls = ray.remote(PositionsShardActor)
-        self.actors = [
-            cls.remote(root, s, n_shards) for s in range(n_shards)
-        ]
-
-    def _shard_of(self, tid: int) -> int:
-        return (
-            (int(tid) & 0xFFFFFFFFFFFFFFFF) % self.num_buckets
-        ) % self.n_shards
-
-    def _fetch(self, tids: list[int]) -> dict[int, tuple]:
-        """tid -> (flat doc per position, flat positions) from the
-        owning shards (one RPC per shard that owns >= 1 query term)."""
-        import ray
-
-        by_shard: dict[int, list[int]] = {}
-        for t in sorted(set(tids)):
-            by_shard.setdefault(self._shard_of(t), []).append(t)
-        futs = [
-            self.actors[s].term_positions.remote(ts)
-            for s, ts in by_shard.items()
-        ]
-        out: dict[int, tuple] = {}
-        for tbl in ray.get(futs):
-            if tbl.num_rows == 0:
-                continue
-            tid_col = tbl["term_id"].to_numpy(zero_copy_only=False)
-            did = tbl["doc_id"].to_numpy(zero_copy_only=False)
-            plist = tbl["positions"].combine_chunks()
-            flat = pc.list_flatten(plist).to_numpy(zero_copy_only=False)
-            parent = pc.list_parent_indices(plist).to_numpy(
-                zero_copy_only=False
-            )
-            d_rep = did[parent]
-            t_rep = tid_col[parent]
-            for t in np.unique(t_rep):
-                m = t_rep == t
-                out[int(t)] = (d_rep[m], flat[m])
-        return out
-
-    def phrase_occurrences(
-        self, phrase: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted doc_ids, overlap-exact occurrence counts) for the
-        exact phrase — the count is the number of distinct base
-        positions whose every slot matches, identical to the pipeline
-        (phrase_occurrences_multi). Empty for no-token/OOV phrases."""
-        terms = self.analyzer.tokenize(phrase)
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        if not terms:
-            return empty
-        slot_tids = [hash64(t) for t in terms]
-        per_tid = self._fetch(slot_tids)
-        first = per_tid.get(slot_tids[0])
-        if first is None:
-            return empty
-        docs_u = np.unique(first[0])
-        keys: np.ndarray | None = None
-        for i, tid in enumerate(slot_tids):
-            ent = per_tid.get(tid)
-            if ent is None:
-                return empty
-            d, p = ent
-            m = np.isin(d, docs_u)
-            d, p = d[m], p[m].astype(np.int64)
-            base = p - i
-            ok = base >= 0
-            idx = np.searchsorted(docs_u, d[ok]).astype(np.int64)
-            k = np.unique((idx << 32) | base[ok])
-            keys = (
-                k
-                if keys is None
-                else np.intersect1d(keys, k, assume_unique=True)
-            )
-            if len(keys) == 0:
-                return empty
-        doc_idx = keys >> 32
-        uniq_idx, counts = np.unique(doc_idx, return_counts=True)
-        return docs_u[uniq_idx], counts.astype(np.int64)
-
-    def phrase_docs(self, phrase: str) -> np.ndarray:
-        """Sorted doc_ids matching the exact phrase (empty for
-        no-token or OOV phrases — same contract as the pipeline)."""
-        return self.phrase_occurrences(phrase)[0]

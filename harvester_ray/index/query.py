@@ -85,6 +85,46 @@ def tfidf_score(
 SCORERS: dict[str, "object"] = {"bm25": None, "tfidf": tfidf_score}
 
 
+def rank_scored_postings(
+    parts: "list[tuple[np.ndarray, np.ndarray] | None]",
+    k: int,
+    mode: str = "or",
+    excluded: "np.ndarray | None" = None,
+    after=None,
+) -> list[tuple[int, float]]:
+    """The exhaustive sparse ranker: top-k (doc_id, score) from one
+    (doc_id-sorted ids, per-posting scores) pair per query term, in
+    sorted-term order (None marks a term absent from the dictionary).
+    OR is the k-way union, AND the k-way sorted intersection (any
+    absent term -> empty); docs in ``excluded`` (sorted) drop before
+    top-k, and ``after`` is the search-after cursor. Accumulating in
+    the given term order makes scores bit-identical wherever the same
+    per-term units are ranked: InvertedIndex's non-dense paths and the
+    term-routed serving grid (index/serving.py)."""
+    if mode == "and":
+        if not parts or any(p is None for p in parts):
+            return []  # conjunctive + missing term -> empty
+        ids = parts[0][0]
+        for p in parts[1:]:
+            ids = np.intersect1d(ids, p[0], assume_unique=True)
+        sums = np.zeros(len(ids), dtype=np.float64)
+        for p_ids, p_scores in parts:
+            sums += p_scores[np.searchsorted(p_ids, ids)]
+    else:
+        found = [p for p in parts if p is not None]
+        if not found:
+            return []
+        ids, inv = np.unique(
+            np.concatenate([p[0] for p in found]), return_inverse=True
+        )
+        sums = np.zeros(len(ids), dtype=np.float64)
+        np.add.at(sums, inv, np.concatenate([p[1] for p in found]))
+    if excluded is not None:
+        keep = ~np.isin(ids, excluded, assume_unique=True)
+        ids, sums = ids[keep], sums[keep]
+    return InvertedIndex._topk(ids, sums, k, after)
+
+
 class _TermPostings:
     """Decoded, globally doc_id-sorted postings of one term."""
 
@@ -255,9 +295,10 @@ class InvertedIndex:
         block maxima are BM25-specific, so algorithm="wand" silently
         falls back to the exhaustive path under a custom scorer.
 
-        ``shard=(c, S)``: load ONLY doc_id-chunk ``c`` of ``S`` — the
-        shard-serving mode (index/sharded.py): the index must be built
-        with the bucket strategy and ``segment_doc_chunks == S``, so
+        ``shard=(c, S)``: load ONLY doc_id-chunk ``c`` of ``S`` — a
+        doc-chunk cell of the serving grid (index/serving.py): the index
+        must be built with the bucket strategy and
+        ``segment_doc_chunks == S``, so
         chunk c's postings live in the ``...c{c}.parquet`` segment
         files and this actor's slots array is 1/S of the doc table.
         Global stats/df stay whole-corpus (stats.json + dictionary), so
@@ -274,8 +315,8 @@ class InvertedIndex:
         vocabulary a single actor cannot hold the whole dict — this is
         the tier the doc-shard docstring used to only name). The doc
         table / slots array is NOT loaded (term-shard actors serve
-        per-term scored postings to a router, index/sharded.py
-        TermShardedIndex, which owns the cross-term merge); global
+        per-term scored postings to the router, index/serving.py
+        ShardedIndex, which owns the cross-term merge); global
         stats N/avgdl and per-term df stay whole-corpus, so shard
         scores equal unsharded scores exactly. Composable with
         ``shard`` (a (term × doc) grid actor loads bucket-and-chunk
@@ -484,7 +525,7 @@ class InvertedIndex:
         self._dense_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if term_shard is not None:
             # a term-shard actor never loads the doc table: it serves
-            # per-term scored postings to the router (TermShardedIndex),
+            # per-term scored postings to the router (serving.ShardedIndex),
             # which owns the cross-term accumulation — actor memory is
             # vocab/T + its segment slice, independent of corpus size
             self._preloaded = False
@@ -684,8 +725,8 @@ class InvertedIndex:
     ) -> "tuple[np.ndarray, np.ndarray] | None":
         """(doc_ids, per-posting BM25 scores) for one term, or None if
         the term is absent from this (shard's) dictionary — the unit a
-        term-shard actor ships to the TermShardedIndex router. Scores
-        use the same ``_score`` as the local search paths, so the
+        term-routed serving cell ships to the ShardedIndex router.
+        Scores use the same ``_score`` as the local search paths, so the
         router's sorted-term accumulation reproduces single-process
         scores bit for bit."""
         p = self.postings(term)
@@ -894,26 +935,10 @@ class InvertedIndex:
                 if ex is not None:
                     hit[np.searchsorted(self._slots, ex)] = False
             return self._topk_dense(acc, hit, k, after)
-        id_parts, score_parts = [], []
-        for t in terms:
-            p = self.postings(t)
-            if p is None:
-                continue
-            id_parts.append(p.doc_ids)
-            score_parts.append(self._score(p.tfs, p.doc_lens, p.df))
-        if not id_parts:
-            return []
-        all_ids = np.concatenate(id_parts)
-        all_scores = np.concatenate(score_parts)
-        uniq, inv = np.unique(all_ids, return_inverse=True)
-        sums = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(sums, inv, all_scores)
-        if neg:
-            ex = self._excluded_docs(list(neg))
-            if ex is not None:
-                keep = ~np.isin(uniq, ex, assume_unique=True)
-                uniq, sums = uniq[keep], sums[keep]
-        return self._topk(uniq, sums, k, after)
+        return rank_scored_postings(
+            [self.scored_postings(t) for t in terms], k, "or",
+            self._excluded_docs(list(neg)), after,
+        )
 
     def _search_and(
         self, terms: list[str], k: int, neg: "list[str]" = (), after=None
@@ -935,28 +960,10 @@ class InvertedIndex:
                 if ex is not None:
                     mask[np.searchsorted(self._slots, ex)] = False
             return self._topk_dense(acc, mask, k, after)
-        plists = []
-        for t in terms:
-            p = self.postings(t)
-            if p is None:
-                return []  # conjunctive + missing term -> empty
-            plists.append(p)
-        common = plists[0].doc_ids
-        for p in plists[1:]:
-            common = np.intersect1d(common, p.doc_ids, assume_unique=True)
-            if len(common) == 0:
-                return []
-        if neg:
-            ex = self._excluded_docs(list(neg))
-            if ex is not None:
-                common = common[~np.isin(common, ex, assume_unique=True)]
-                if len(common) == 0:
-                    return []
-        sums = np.zeros(len(common), dtype=np.float64)
-        for p in plists:  # sorted-term order -> deterministic accumulation
-            pos = np.searchsorted(p.doc_ids, common)
-            sums += self._score(p.tfs[pos], p.doc_lens[pos], p.df)
-        return self._topk(common, sums, k, after)
+        return rank_scored_postings(
+            [self.scored_postings(t) for t in terms], k, "and",
+            self._excluded_docs(list(neg)), after,
+        )
 
     # -- Block-Max AND (conjunctive leapfrog with block-max pruning) -----
     def _search_and_bm(self, terms: list[str], k: int):

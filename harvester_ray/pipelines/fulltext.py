@@ -1286,16 +1286,16 @@ def bm25_topk_or_incremental(sf_dir: str) -> "ray.data.Dataset":
 
 
 def bm25_topk_or_sharded(sf_dir: str, n_shards: int = 4) -> "object":
-    """The doc-sharded serving tier (index/sharded.py) under the driver
-    gate: the same OR query set answered by ShardedIndex scatter-gather
-    over ``n_shards`` shard actors, each loading 1/S of doc space from
-    an index built with ``segment_doc_chunks=n_shards``. Same SQL
+    """The doc-sharded serving grid (index/serving.py, T = 1) under the
+    correctness gate: the same OR query set answered by ShardedIndex
+    scatter-gather over ``n_shards`` cells, each loading 1/S of doc
+    space from an index built with ``segment_doc_chunks=n_shards``. Same SQL
     oracle as bm25_topk_or — rank identity proves shard-merge
     losslessness end to end."""
     import pandas as pd
 
     from harvester_ray.config import IndexConfig
-    from harvester_ray.index.sharded import ShardedIndex
+    from harvester_ray.index.serving import ShardedIndex
 
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:chunks{n_shards}".encode()
@@ -1310,7 +1310,7 @@ def bm25_topk_or_sharded(sf_dir: str, n_shards: int = 4) -> "object":
         build_index(
             docs, out, IndexConfig(segment_doc_chunks=n_shards)
         )
-    sh = ShardedIndex(out, n_shards)
+    sh = ShardedIndex(out, n_doc_shards=n_shards)
     try:
         rows = []
         for qid, q in queries_for_mode("or"):
@@ -1337,7 +1337,7 @@ def search_facets_sharded(sf_dir: str, n_shards: int = 4) -> "object":
     overrequest + refine protocol (ShardedIndex.facet_search) — facet
     partials cross shards, never match sets. The tier reuses
     bm25_topk_or_sharded's index build (segment_doc_chunks=n_shards);
-    each shard actor lazily loads only ITS doc range's facet column
+    each cell lazily loads only ITS doc range's facet column
     (row-group-pruned — chunks are contiguous doc_id ranges). The SQL
     oracle is the full unsharded facet count + per-query top-K, so a
     pass proves phase-1 membership + refinement sum exactly equal the
@@ -1347,7 +1347,7 @@ def search_facets_sharded(sf_dir: str, n_shards: int = 4) -> "object":
     import pandas as pd
 
     from harvester_ray.config import IndexConfig
-    from harvester_ray.index.sharded import ShardedIndex
+    from harvester_ray.index.serving import ShardedIndex
 
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:chunks{n_shards}".encode()
@@ -1361,7 +1361,7 @@ def search_facets_sharded(sf_dir: str, n_shards: int = 4) -> "object":
         )
         build_index(docs, out, IndexConfig(segment_doc_chunks=n_shards))
     facet_parquet = os.path.join(sf_dir, "documents.parquet")
-    sh = ShardedIndex(out, n_shards)
+    sh = ShardedIndex(out, n_doc_shards=n_shards)
     try:
         rows = []
         for qid, q in queries_for_mode("or"):
@@ -1388,18 +1388,18 @@ def search_facets_sharded(sf_dir: str, n_shards: int = 4) -> "object":
 
 
 def bm25_topk_or_termsharded(sf_dir: str, n_shards: int = 4) -> "object":
-    """The TERM-sharded (vocabulary-partitioned) serving tier under the
-    driver gate: the same OR query set answered by TermShardedIndex —
-    each shard actor loads only its term buckets' dictionary parts +
+    """The TERM-sharded (vocabulary-partitioned) serving grid under the
+    correctness gate: the same OR query set answered by ShardedIndex with
+    S = 1 — each cell loads only its term buckets' dictionary parts +
     segment files, the router accumulates per-term scored postings in
     sorted-term order. Same SQL oracle as bm25_topk_or — rank identity
     proves the vocabulary partition + router merge end to end."""
     import pandas as pd
 
-    from harvester_ray.index.sharded import TermShardedIndex
+    from harvester_ray.index.serving import ShardedIndex
 
     paths = index_for(sf_dir)
-    tier = TermShardedIndex(paths.root, n_shards)
+    tier = ShardedIndex(paths.root, n_term_shards=n_shards)
     try:
         rows = []
         for qid, q in queries_for_mode("or"):
@@ -2492,8 +2492,8 @@ def bm25f_topk_served(sf_dir: str) -> pa.Table:
 
 def bm25f_topk_termsharded(sf_dir: str, n_shards: int = 4) -> pa.Table:
     """(query_id, rank, doc_id) — BM25F through the DISTRIBUTED
-    vocabulary-partitioned serving tier (index/fielded.
-    DistributedFieldedIndex: 4 FieldedCellActor cells, each loading
+    vocabulary-partitioned serving grid (index/serving.ShardedIndex,
+    payload bm25f: 4 cells, each loading
     only its term buckets' slice of the main AND both field indexes;
     the router fans each query term to its single owning cell and
     integer-sums the fp8 contributions). Driver-gated against the SAME
@@ -2502,16 +2502,16 @@ def bm25f_topk_termsharded(sf_dir: str, n_shards: int = 4) -> pa.Table:
     bucket map across three indexes, and the router fuse end to end."""
     import numpy as np
 
-    from harvester_ray.index.fielded import (
-        DistributedFieldedIndex,
-        FieldSpec,
-    )
+    from harvester_ray.index.fielded import FieldSpec
+    from harvester_ray.index.serving import ShardedIndex
 
     paths = index_for(sf_dir)
     fdirs = field_indexes_for(sf_dir)
-    tier = DistributedFieldedIndex(
+    tier = ShardedIndex(
         paths.root,
-        [
+        n_term_shards=n_shards,
+        payload="bm25f",
+        fields=[
             (
                 FieldSpec("title", BM25F_W_TITLE, BM25F_B_TITLE),
                 fdirs["title"].root,
@@ -2521,7 +2521,6 @@ def bm25f_topk_termsharded(sf_dir: str, n_shards: int = 4) -> pa.Table:
                 fdirs["body"].root,
             ),
         ],
-        n_shards,
     )
     try:
         qids, ranks, dids = [], [], []
@@ -2543,21 +2542,26 @@ def bm25f_topk_termsharded(sf_dir: str, n_shards: int = 4) -> pa.Table:
 
 def phrase_match_sharded(sf_dir: str) -> pa.Table:
     """(phrase_id, doc_id, n_occurrences) for PHRASE_SET through the
-    TERM-SHARDED positional serving tier (index/positional.py:
-    TermShardedPositions, 4 vocabulary shards) — driver-gated against
+    TERM-SHARDED positional serving grid (index/serving.ShardedIndex,
+    payload positions, 4 term rows) — gated against
     the SAME PHRASE_MATCH SQL oracle as the pipeline twin, proving the
     sharded router's base-intersection counts are overlap-exact."""
     import numpy as np
 
-    from harvester_ray.index.positional import TermShardedPositions
+    from harvester_ray.index.serving import ShardedIndex
 
-    tier = TermShardedPositions(positions_for(sf_dir), n_shards=4)
+    tier = ShardedIndex(
+        positions_for(sf_dir), n_term_shards=4, payload="positions"
+    )
     pids, dids, counts = [], [], []
-    for pid, phrase in PHRASE_SET:
-        docs, n_occ = tier.phrase_occurrences(phrase)
-        pids.append(np.full(len(docs), pid, dtype=np.int64))
-        dids.append(docs)
-        counts.append(n_occ)
+    try:
+        for pid, phrase in PHRASE_SET:
+            docs, n_occ = tier.phrase_occurrences(phrase)
+            pids.append(np.full(len(docs), pid, dtype=np.int64))
+            dids.append(docs)
+            counts.append(n_occ)
+    finally:
+        tier.shutdown()
     return pa.table(
         {
             "phrase_id": pa.array(np.concatenate(pids), pa.int64()),

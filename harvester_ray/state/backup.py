@@ -91,26 +91,32 @@ def _copy_batch(src_root: str, dst_root: str, items: list) -> list:
     return out
 
 
-def _latest_snapshot(backups_root: str) -> str | None:
+def list_snapshots(backups_root: str) -> list[tuple[str, dict]]:
+    """(path, manifest) of every committed snapshot under
+    ``backups_root``, oldest first by manifest ``taken_at`` (which
+    increases monotonically). In-flight ``.tmp-`` staging dirs are not
+    snapshots; a snapshot whose manifest is absent — uncommitted, or
+    deleted by a concurrent ``prune-backups`` between the listing and
+    the read — is skipped."""
     if not os.path.isdir(backups_root):
-        return None
-    snaps = sorted(
-        d
-        for d in os.listdir(backups_root)
-        if d.startswith("snap-")
-        and ".tmp-" not in d  # in-flight staging dirs are not snapshots
-        and os.path.isfile(
-            os.path.join(backups_root, d, BACKUP_MANIFEST)
-        )
-    )
-    if not snaps:
-        return None
-    # manifests carry a monotonically increasing taken_at
-    def taken(d):
-        with open(os.path.join(backups_root, d, BACKUP_MANIFEST)) as f:
-            return json.load(f)["taken_at"]
+        return []
+    snaps = []
+    for d in os.listdir(backups_root):
+        if not d.startswith("snap-") or ".tmp-" in d:
+            continue
+        p = os.path.join(backups_root, d)
+        try:
+            with open(os.path.join(p, BACKUP_MANIFEST)) as f:
+                snaps.append((p, json.load(f)))
+        except OSError:
+            continue
+    snaps.sort(key=lambda pm: (float(pm[1]["taken_at"]), pm[0]))
+    return snaps
 
-    return os.path.join(backups_root, max(snaps, key=taken))
+
+def _latest_snapshot(backups_root: str) -> str | None:
+    snaps = list_snapshots(backups_root)
+    return snaps[-1][0] if snaps else None
 
 
 def backup_index(index_dir: str, backups_root: str) -> str:
@@ -301,7 +307,6 @@ def prune_snapshots(
         raise ValueError("keep_last must be >= 1")
     if not os.path.isdir(backups_root):
         return []
-    snaps = []
     now = time.time()
     for d in os.listdir(backups_root):
         p = os.path.join(backups_root, d)
@@ -312,14 +317,9 @@ def prune_snapshots(
                 continue  # racer finished (renamed) or cleaned up
             if age > stale_tmp_age_s:  # crashed staging, not in-flight
                 shutil.rmtree(p, ignore_errors=True)
-            continue
-        mp = os.path.join(p, BACKUP_MANIFEST)
-        if d.startswith("snap-") and os.path.isfile(mp):
-            with open(mp) as f:
-                snaps.append((float(json.load(f)["taken_at"]), p))
-    snaps.sort()
+    snaps = list_snapshots(backups_root)
     removed = []
-    for _ts, p in snaps[: max(0, len(snaps) - keep_last)]:
+    for p, _m in snaps[: max(0, len(snaps) - keep_last)]:
         shutil.rmtree(p, ignore_errors=True)
         removed.append(p)
     return removed

@@ -2,8 +2,9 @@
 
 Builds the Zipf soak corpus index with segment_doc_chunks=8 (data-
 derived chunk bounds) and measures warm scatter-gather latency over
-the bench query set through ShardedIndex — the serving tier a
-20 M-doc-per-node corpus actually uses. Owns its Ray session.
+the bench query set through ShardedIndex (index/serving.py) at
+8 doc shards — the serving grid a 20 M-doc-per-node corpus actually
+uses. Owns its Ray session.
 """
 import json, os, statistics, sys, time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -13,7 +14,7 @@ from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from harvester_ray.config import IndexConfig
 from harvester_ray.index.build import build_index
-from harvester_ray.index.sharded import ShardedIndex
+from harvester_ray.index.serving import ShardedIndex
 from bench import ZIPF_QUERY_SET
 
 corpus = "/dev/shm/harvester_ray_bench/zipf_20000000_50000_100"
@@ -25,8 +26,8 @@ paths = build_index(docs, out, cfg)
 build_sec = time.time() - t0
 
 t0 = time.time()
-tier = ShardedIndex(paths.root, n_shards=8)
-tier.search("w0", k=10)  # block until every shard actor has loaded
+tier = ShardedIndex(paths.root, n_doc_shards=8)
+tier.search("w0", k=10)  # block until every cell has loaded
 load_sec = time.time() - t0
 
 for qid, q, mode in ZIPF_QUERY_SET:
@@ -46,4 +47,5 @@ print(json.dumps({
     "p95_ms": round(1000 * lat[int(len(lat)*0.95)], 1),
     "max_ms": round(1000 * lat[-1], 1),
 }))
+tier.shutdown()
 ray.shutdown()

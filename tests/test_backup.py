@@ -180,3 +180,50 @@ def test_prune_snapshots_retention(tmp_path, ray_session):
     dest = str(tmp_path / "restored")
     restore_index(s3, dest)
     assert InvertedIndex(dest, preload=True).search("scan", k=2)
+
+
+def test_snapshot_readers_skip_concurrently_pruned(
+    tmp_path, ray_session, monkeypatch, capsys
+):
+    """A concurrent prune-backups can delete a snapshot after the
+    directory listing and before its manifest is read. The latest-
+    snapshot lookup, the retention sweep and the CLI listing must skip
+    that snapshot instead of raising FileNotFoundError."""
+    import builtins
+    import shutil
+
+    from harvester_ray import cli
+    from harvester_ray.state import backup as backup_mod
+
+    paths = _fresh_index(tmp_path)
+    snaps = str(tmp_path / "backups")
+    s1 = backup_index(paths.root, snaps)
+    top = InvertedIndex(paths.root, preload=True).search("scan", k=1)
+    delete_docs(paths.root, [top[0][0]])
+
+    def race(victim):
+        """open() that deletes ``victim`` just before reading its
+        manifest — the prune landing between listdir and open."""
+
+        def racing_open(path, *args, **kwargs):
+            if os.fspath(path) == os.path.join(victim, BACKUP_MANIFEST):
+                shutil.rmtree(victim, ignore_errors=True)
+            return builtins.open(path, *args, **kwargs)
+
+        return racing_open
+
+    readers = [
+        (lambda: backup_mod._latest_snapshot(snaps), s1),
+        (lambda: backup_mod.prune_snapshots(snaps, 1), []),
+        (lambda: cli.main(["snapshots", "--backups", snaps]), 0),
+    ]
+    for read, want in readers:
+        s2 = backup_index(paths.root, snaps)  # (re)create the victim
+        with monkeypatch.context() as m:
+            for module in (backup_mod, cli):
+                m.setattr(module, "open", race(s2), raising=False)
+            assert read() == want
+        assert not os.path.exists(s2)
+    rows = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+    assert rows[-1] == {"n_snapshots": 1}
+    assert rows[-2]["snapshot"] == os.path.basename(s1)

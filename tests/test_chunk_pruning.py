@@ -199,14 +199,17 @@ def test_sequential_ids_chunk_balanced(tmp_path, ray_session):
         per_shard.append(len(s._slots))
     assert sum(per_shard) == 600
 
-    from harvester_ray.index.sharded import ShardedIndex
+    from harvester_ray.index.serving import ShardedIndex
 
-    tier = ShardedIndex(out4, n_shards=N_CHUNKS)
-    for q in ("w0 w1", "w3 w17 w120", "w12 w120"):
-        for mode in ("or", "and"):
-            assert tier.search(q, k=10, mode=mode) == i1.search(
-                q, k=10, mode=mode
-            )
+    tier = ShardedIndex(out4, n_doc_shards=N_CHUNKS)
+    try:
+        for q in ("w0 w1", "w3 w17 w120", "w12 w120"):
+            for mode in ("or", "and"):
+                assert tier.search(q, k=10, mode=mode) == i1.search(
+                    q, k=10, mode=mode
+                )
+    finally:
+        tier.shutdown()
 
 
 def test_distributed_bounds_path_serves_identically(
@@ -243,3 +246,27 @@ def test_distributed_bounds_path_serves_identically(
     b = InvertedIndex(out_b, preload=True)
     for q in ("w0 w1", "w3 w17 w120"):
         assert a.search(q, k=10) == b.search(q, k=10)
+
+
+@pytest.mark.parametrize("driver_bytes", [0, None])
+def test_chunk_bounds_strictly_increasing_at_int64_top(
+    tmp_path, ray_session, monkeypatch, driver_bytes
+):
+    """Ids crowded at the top of int64: every bound stays <=
+    INT64_MAX-1 AND strictly increasing, on the histogram path
+    (_DRIVER_MERGE_BYTES=0) and on the exact in-memory quantile path."""
+    from harvester_ray.index import build as build_mod
+
+    top = np.iinfo(np.int64).max
+    ids = [-5, -4] + [top - i for i in range(6)]
+    d = tmp_path / "doc_table"
+    d.mkdir()
+    pq.write_table(
+        pa.table({"doc_id": pa.array(ids, pa.int64())}), d / "part-0.parquet"
+    )
+    if driver_bytes is not None:
+        monkeypatch.setattr(build_mod, "_DRIVER_MERGE_BYTES", driver_bytes)
+    bounds = build_mod.compute_chunk_bounds(str(d), 4)
+    assert len(bounds) == 3
+    assert all(b <= top - 1 for b in bounds), bounds
+    assert all(a < b for a, b in zip(bounds, bounds[1:])), bounds

@@ -145,39 +145,18 @@ def test_fielded_title_boost(tmp_path, ray_session):
     assert hits[0][2] > hits[1][2]  # strictly better fp8 score
 
 
-def test_fielded_term_sharded_bit_identical(field_dirs, ray_session):
-    """TermShardedFieldedIndex (vocabulary-partitioned BM25F) must
-    reproduce the single-process FieldedIndex results bit for bit —
-    same ranks AND same integer scores — for the whole OR query set."""
-    from harvester_ray.index.fielded import TermShardedFieldedIndex
-
-    single = _fielded(field_dirs)
-    tier = TermShardedFieldedIndex.load(
-        index_for(SF_DIR).root,
-        [(spec, field_dirs[spec.name]) for spec in SPECS],
-        n_shards=3,
-    )
-    n_nonempty = 0
-    for _, q in queries_for_mode("or"):
-        want = single.search(q, k=TOP_K)
-        got = tier.search(q, k=TOP_K)
-        assert got == want, q
-        n_nonempty += int(bool(want))
-    assert n_nonempty > 0
-    assert tier.search("zzzqoov") == []
-
-
 def test_distributed_fielded_bit_identical(field_dirs, ray_session):
-    """DistributedFieldedIndex (actor cells) must reproduce the
+    """The bm25f serving grid (actor cells) must reproduce the
     single-process FieldedIndex bit for bit — same ranks AND fp8
     scores — and its cells must partition the main vocabulary."""
-    from harvester_ray.index.fielded import DistributedFieldedIndex
+    from harvester_ray.index.serving import ShardedIndex
 
     single = _fielded(field_dirs)
-    tier = DistributedFieldedIndex(
+    tier = ShardedIndex(
         index_for(SF_DIR).root,
-        [(spec, field_dirs[spec.name]) for spec in SPECS],
-        n_shards=3,
+        n_term_shards=3,
+        payload="bm25f",
+        fields=[(spec, field_dirs[spec.name]) for spec in SPECS],
     )
     try:
         sizes = tier.vocab_sizes()
@@ -202,7 +181,7 @@ def test_distributed_fielded_rejects_mismatched_buckets(
     every field index) is VALIDATED, not assumed: a field index built
     with a different bucket count must be rejected at construction."""
     from harvester_ray.index.build import build_index
-    from harvester_ray.index.fielded import DistributedFieldedIndex
+    from harvester_ray.index.serving import ShardedIndex
 
     docs = ray.data.read_parquet(
         f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]
@@ -210,8 +189,66 @@ def test_distributed_fielded_rejects_mismatched_buckets(
     odd_dir = str(tmp_path / "oddbuckets")
     build_index(docs, odd_dir, cfg=IndexConfig(num_term_buckets=8))
     with pytest.raises(ValueError, match="num_term_buckets"):
-        DistributedFieldedIndex(
+        ShardedIndex(
             index_for(SF_DIR).root,
-            [(SPECS[0], field_dirs["title"]), (SPECS[1], odd_dir)],
-            n_shards=2,
+            n_term_shards=2,
+            payload="bm25f",
+            fields=[(SPECS[0], field_dirs["title"]), (SPECS[1], odd_dir)],
         )
+
+
+def test_fielded_cell_restart_preserves_results(field_dirs, ray_session):
+    """bm25f cell fault tolerance: kill one cell mid-stream; Ray
+    restarts it from the immutable main and field indexes, the
+    in-flight fetch retries, and the fused ranking is unchanged."""
+    import ray
+
+    from harvester_ray.index.serving import ShardedIndex
+
+    single = _fielded(field_dirs)
+    queries = [q for _, q in queries_for_mode("or")]
+    tier = ShardedIndex(
+        index_for(SF_DIR).root,
+        n_term_shards=3,
+        payload="bm25f",
+        fields=[(spec, field_dirs[spec.name]) for spec in SPECS],
+    )
+    try:
+        before = [tier.search(q, k=TOP_K) for q in queries]
+        ray.kill(tier.cells[1][0], no_restart=False)
+        after = [tier.search(q, k=TOP_K) for q in queries]
+        assert after == before == [single.search(q, k=TOP_K) for q in queries]
+        assert any(before)
+    finally:
+        tier.shutdown()
+
+
+def test_fielded_grid_over_doc_chunks_bit_identical(
+    field_dirs, tmp_path, ray_session
+):
+    """A bm25f term × doc grid (T=2, S=2) — main and field indexes all
+    built with segment_doc_chunks=2 — concatenates each term's
+    per-chunk contributions and fuses them bit-identically to the
+    single-process FieldedIndex."""
+    from harvester_ray.index.build import build_index
+    from harvester_ray.index.serving import ShardedIndex
+
+    docs = ray.data.read_parquet(
+        f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]
+    )
+    main_dir = build_index(
+        docs, str(tmp_path / "main"), IndexConfig(segment_doc_chunks=N_SHARDS)
+    ).root
+    fields = [(spec, field_dirs[spec.name]) for spec in SPECS]
+    single = FieldedIndex(
+        InvertedIndex(main_dir),
+        [(spec, InvertedIndex(d)) for spec, d in fields],
+    )
+    queries = [q for _, q in queries_for_mode("or")]
+    tier = ShardedIndex(main_dir, 2, N_SHARDS, payload="bm25f", fields=fields)
+    try:
+        want = [single.search(q, k=TOP_K) for q in queries]
+        assert [tier.search(q, k=TOP_K) for q in queries] == want
+        assert any(want)
+    finally:
+        tier.shutdown()

@@ -243,7 +243,7 @@ def test_merge_sources_multi_chunk_sharded(tmp_path, ray_session):
 
     from harvester_ray.config import DEFAULT_INDEX_CONFIG
     from harvester_ray.index.maintenance import merge_sources
-    from harvester_ray.index.sharded import ShardedIndex
+    from harvester_ray.index.serving import ShardedIndex
 
     cfg = replace(DEFAULT_INDEX_CONFIG, segment_doc_chunks=4)
     a = generate_zipf_docs(250, vocab_size=500, mean_len=40, seed=41)
@@ -257,7 +257,7 @@ def test_merge_sources_multi_chunk_sharded(tmp_path, ray_session):
 
     merged = merge_sources(base_dir, str(tmp_path / "merged"))
     single = InvertedIndex(merged.root, preload=True)
-    tier = ShardedIndex(merged.root, n_shards=4)
+    tier = ShardedIndex(merged.root, n_doc_shards=4)
     try:
         assert tier.total_docs() == single.n_docs == len(a) + len(b) - 2
         for q, mode in QUERIES:

@@ -364,66 +364,93 @@ def test_span_covers_matches_brute_force():
 
 # ── term-sharded phrase serving parity ──────────────────────────────
 
+SHARDED_PHRASES = [
+    "quick brown",
+    "a a",
+    "fox",
+    "zzzq fox",          # OOV conjunct -> empty
+    "the fox the",       # repeated term, 3 slots
+    "quick brown fox",
+]
+
 
 @pytest.mark.parametrize("n_shards", [1, 3])
 def test_term_sharded_phrase_parity(store, ray_session, n_shards):
-    """TermShardedPositions.phrase_docs must equal the single-pipeline
-    phrase_occurrences_multi doc sets for every phrase shape: plain,
-    repeated-term, single-term, OOV conjunct, empty."""
+    """The positions serving grid's phrase_docs must equal the
+    single-pipeline phrase_occurrences_multi doc sets for every phrase
+    shape: plain, repeated-term, single-term, OOV conjunct, empty."""
     import numpy as np
 
-    from harvester_ray.index.positional import (
-        TermShardedPositions,
-        phrase_occurrences_multi,
-    )
+    from harvester_ray.index.positional import phrase_occurrences_multi
+    from harvester_ray.index.serving import ShardedIndex
 
-    phrases = [
-        "quick brown",
-        "a a",
-        "fox",
-        "zzzq fox",          # OOV conjunct -> empty
-        "the fox the",       # repeated term, 3 slots
-        "quick brown fox",
-    ]
-    specs = list(enumerate(phrases))
+    specs = list(enumerate(SHARDED_PHRASES))
     occ = phrase_occurrences_multi(store, specs)
     pid = occ["phrase_id"].to_numpy()
     did = occ["doc_id"].to_numpy()
-    tier = TermShardedPositions(store, n_shards)
-    n_nonempty = 0
-    for i, ph in specs:
-        want = np.unique(did[pid == i])
-        got = tier.phrase_docs(ph)
-        np.testing.assert_array_equal(got, want), ph
-        n_nonempty += int(len(want) > 0)
-    assert n_nonempty >= 4  # the parity check is not vacuous
-    assert tier.phrase_docs("").size == 0
-    assert tier.phrase_docs("!!!").size == 0
+    tier = ShardedIndex(store, n_term_shards=n_shards, payload="positions")
+    try:
+        n_nonempty = 0
+        for i, ph in specs:
+            want = np.unique(did[pid == i])
+            got = tier.phrase_docs(ph)
+            np.testing.assert_array_equal(got, want), ph
+            n_nonempty += int(len(want) > 0)
+        assert n_nonempty >= 4  # the parity check is not vacuous
+        assert tier.phrase_docs("").size == 0
+        assert tier.phrase_docs("!!!").size == 0
+    finally:
+        tier.shutdown()
 
 
 def test_shard_actors_partition_buckets(store, ray_session):
-    """Shards own a disjoint cover of the buckets and refuse to serve
+    """Cells own a disjoint cover of the buckets and refuse to serve
     terms they don't own (vocabulary-axis pruning)."""
     import json as _json
-    import os as _os
 
-    from harvester_ray.functions.text import hash64
-    from harvester_ray.index.positional import (
-        PositionsShardActor,
-        _stats_path,
-    )
+    import ray
+
+    from harvester_ray.index.positional import _stats_path
+    from harvester_ray.index.serving import ShardedIndex, term_row
 
     with open(_stats_path(store)) as f:
         nb = _json.load(f)["num_buckets"]
-    shards = [PositionsShardActor(store, s, 3) for s in range(3)]
-    all_owned = [b for s in shards for b in s.owned_buckets]
-    assert sorted(all_owned) == list(range(nb))  # disjoint cover
-    tid = hash64("quick")
-    owners = [s for s in shards if s.owns(tid)]
-    assert len(owners) == 1
-    for s in shards:
-        tbl = s.term_positions([tid])
-        if s is owners[0]:
-            assert tbl.num_rows > 0
-        else:
-            assert tbl.num_rows == 0
+    tier = ShardedIndex(store, n_term_shards=3, payload="positions")
+    try:
+        all_owned = [b for row in tier.describe() for b in row[0]["buckets"]]
+        assert sorted(all_owned) == list(range(nb))  # disjoint cover
+        owner = term_row("quick", nb, 3)
+        for s, row in enumerate(tier.cells):
+            got = ray.get(row[0].fetch.remote(["quick"]))
+            assert bool(got) == (s == owner)
+    finally:
+        tier.shutdown()
+
+
+def test_positions_cell_restart_preserves_results(store, ray_session):
+    """positions cell fault tolerance: kill one cell mid-stream; Ray
+    restarts it from the immutable store, the in-flight fetch
+    retries, and phrase occurrences are unchanged."""
+    import numpy as np
+    import ray
+
+    from harvester_ray.index.serving import ShardedIndex
+
+    tier = ShardedIndex(store, n_term_shards=3, payload="positions")
+    try:
+        before = [tier.phrase_occurrences(ph) for ph in SHARDED_PHRASES]
+        ray.kill(tier.cells[1][0], no_restart=False)
+        after = [tier.phrase_occurrences(ph) for ph in SHARDED_PHRASES]
+        for ph, (d0, n0), (d1, n1) in zip(SHARDED_PHRASES, before, after):
+            np.testing.assert_array_equal(d1, d0, err_msg=ph)
+            np.testing.assert_array_equal(n1, n0, err_msg=ph)
+        assert sum(len(d) for d, _ in before) > 0
+    finally:
+        tier.shutdown()
+
+
+def test_positions_grid_rejects_doc_shards(store, ray_session):
+    from harvester_ray.index.serving import ShardedIndex
+
+    with pytest.raises(ValueError, match="no doc chunks"):
+        ShardedIndex(store, n_doc_shards=2, payload="positions")

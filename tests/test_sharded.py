@@ -10,7 +10,7 @@ from harvester_ray.config import IndexConfig
 from harvester_ray.corpus import generate_zipf_docs
 from harvester_ray.index.build import build_index
 from harvester_ray.index.query import InvertedIndex
-from harvester_ray.index.sharded import ShardedIndex
+from harvester_ray.index.serving import ShardedIndex
 
 N_SHARDS = 4
 
@@ -70,7 +70,7 @@ def sharded_setup(tmp_path_factory, ray_session):
 def test_sharded_rank_identical(sharded_setup, ray_session):
     out = sharded_setup
     single = InvertedIndex(out, preload=True)
-    tier = ShardedIndex(out, N_SHARDS)
+    tier = ShardedIndex(out, n_doc_shards=N_SHARDS)
     try:
         assert tier.total_docs() == len(single._slots)  # disjoint cover
         for q, mode, algo in QUERIES:
@@ -96,7 +96,7 @@ def test_sharded_search_after_matches_single_process(
     """Deep paging through the doc-sharded tier: page 2 via the cursor
     equals the single-process page 2 (ids and scores)."""
     single = InvertedIndex(sharded_setup, preload=True)
-    tier = ShardedIndex(sharded_setup, N_SHARDS)
+    tier = ShardedIndex(sharded_setup, n_doc_shards=N_SHARDS)
     try:
         for q, mode, algo in [
             ("w0 w1", "or", "auto"),
@@ -120,11 +120,9 @@ def _facet_truth(index_dir: str, query: str) -> dict[str, int]:
 
     import pyarrow.parquet as pq
 
-    from harvester_ray.functions.text import tokenize
-
     single = InvertedIndex(index_dir, preload=True)
     parts = []
-    for tm in sorted(set(tokenize(query))):
+    for tm in sorted(set(single.analyzer.tokenize(query))):
         p = single.postings(tm)
         if p is not None:
             parts.append(p.doc_ids)
@@ -138,7 +136,7 @@ def test_facet_search_exact_regime(sharded_setup, ray_session):
     """With the phase-1 limit above the bucket count, the two-phase
     protocol (overrequest + refine) must reproduce the global facet
     counts bucket for bucket, and flag the run exact."""
-    tier = ShardedIndex(sharded_setup, N_SHARDS)
+    tier = ShardedIndex(sharded_setup, n_doc_shards=N_SHARDS)
     try:
         for q in ["w0 w1", "w3 w17 w120", "w500 w77"]:
             truth = _facet_truth(sharded_setup, q)
@@ -153,11 +151,57 @@ def test_facet_search_exact_regime(sharded_setup, ray_session):
         tier.shutdown()
 
 
+def test_facet_search_uses_index_analyzer(tmp_path, ray_session):
+    """Facet match sets tokenize with the index's own analyzer: on a
+    porter_en index an inflected query ("running dogs" -> run, dog)
+    must count exactly the docs the single-process index matches."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    words = ["running", "runs", "dogs", "dog", "cats", "jumping",
+             "houses", "trees", "walked", "birds"]
+    rng = np.random.default_rng(5)
+    ids = np.arange(200, dtype=np.int64) * 7919 - 500
+    docs = pa.table(
+        {
+            "doc_id": pa.array(ids, pa.int64()),
+            "text": [" ".join(rng.choice(words, size=3)) for _ in ids],
+        }
+    )
+    out = str(tmp_path / "idx")
+    build_index(
+        ray.data.from_arrow(docs), out,
+        IndexConfig(segment_doc_chunks=2, analyzer_name="porter_en"),
+        n_docs=200,
+    )
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(ids, pa.int64()),
+                "source": [f"s{i % 5}" for i in range(200)],
+            }
+        ),
+        out + "_facets.parquet",
+    )
+    tier = ShardedIndex(out, n_doc_shards=2)
+    try:
+        for q in ["running dogs", "Walked BIRDS"]:
+            truth = _facet_truth(out, q)
+            assert sum(truth.values()) > 0, q  # the check is not vacuous
+            want = sorted(truth.items(), key=lambda kv: (-kv[1], kv[0]))
+            got, exact = tier.facet_search(
+                q, out + "_facets.parquet", "source", k=len(want),
+            )
+            assert exact and got == want, q
+    finally:
+        tier.shutdown()
+
+
 def test_facet_refined_counts_exact_when_truncated(sharded_setup, ray_session):
     """Phase-1 truncation (limit=1 per shard) may drop BUCKETS, but
     refinement must make every returned candidate's count globally
     exact — the Solr facet.refine contract."""
-    tier = ShardedIndex(sharded_setup, N_SHARDS)
+    tier = ShardedIndex(sharded_setup, n_doc_shards=N_SHARDS)
     try:
         q = "w0 w1"
         truth = _facet_truth(sharded_setup, q)
@@ -180,14 +224,14 @@ def test_shard_actor_restart_preserves_results(sharded_setup, ray_session):
     partial result)."""
     import ray
 
-    from harvester_ray.index.query import InvertedIndex
-    from harvester_ray.index.sharded import ShardedIndex
-
     out = sharded_setup
-    tier = ShardedIndex(out, n_shards=N_SHARDS)
-    single = InvertedIndex(out, preload=True)
-    q = "w0 w1"
-    before = tier.search(q, k=10)
-    ray.kill(tier.actors[1], no_restart=False)
-    after = tier.search(q, k=10)
-    assert after == before == single.search(q, k=10)
+    tier = ShardedIndex(out, n_doc_shards=N_SHARDS)
+    try:
+        single = InvertedIndex(out, preload=True)
+        q = "w0 w1"
+        before = tier.search(q, k=10)
+        ray.kill(tier.cells[0][1], no_restart=False)
+        after = tier.search(q, k=10)
+        assert after == before == single.search(q, k=10)
+    finally:
+        tier.shutdown()

@@ -16,7 +16,7 @@ import ray.data
 from harvester_ray.corpus import generate_zipf_docs
 from harvester_ray.index.build import build_index
 from harvester_ray.index.query import InvertedIndex
-from harvester_ray.index.sharded import TermShardedIndex
+from harvester_ray.index.serving import ShardedIndex
 
 N_SHARDS = 4
 
@@ -44,7 +44,7 @@ def term_sharded_setup(tmp_path_factory, ray_session):
 def test_term_sharded_rank_and_score_identical(term_sharded_setup, ray_session):
     out = term_sharded_setup
     single = InvertedIndex(out, preload=True)
-    tier = TermShardedIndex(out, N_SHARDS)
+    tier = ShardedIndex(out, n_term_shards=N_SHARDS)
     try:
         for q, mode in QUERIES:
             want = single.search(q, k=10, mode=mode)
@@ -64,7 +64,7 @@ def test_term_shards_partition_vocabulary(term_sharded_setup, ray_session):
     (hash-distributed buckets); segment files are disjoint too."""
     out = term_sharded_setup
     single = InvertedIndex(out)
-    tier = TermShardedIndex(out, N_SHARDS)
+    tier = ShardedIndex(out, n_term_shards=N_SHARDS)
     try:
         sizes = tier.vocab_sizes()
         assert sum(sizes) == len(single.dictionary)  # disjoint cover
@@ -116,7 +116,7 @@ def test_term_sharded_with_delta_and_deletes(tmp_path_factory, ray_session):
     delete_docs(out, dead)
 
     single = InvertedIndex(out, preload=True)
-    tier = TermShardedIndex(out, N_SHARDS)
+    tier = ShardedIndex(out, n_term_shards=N_SHARDS)
     try:
         for q, mode in QUERIES:
             want = single.search(q, k=10, mode=mode)
@@ -166,11 +166,10 @@ def test_term_by_doc_grid_partitions_postings(tmp_path_factory, ray_session):
 
 
 def test_grid_tier_rank_and_score_identical(tmp_path_factory, ray_session):
-    """GridShardedIndex (T×S cells) must equal the single process on
+    """The (T×S cells) grid must equal the single process on
     rank AND score, and every cell must load a strict subset of the
     segment files (intersection of its term row and doc column)."""
     from harvester_ray.config import IndexConfig
-    from harvester_ray.index.sharded import GridShardedIndex
 
     T, S = 2, 2
     root = tmp_path_factory.mktemp("grid_tier")
@@ -181,11 +180,10 @@ def test_grid_tier_rank_and_score_identical(tmp_path_factory, ray_session):
         IndexConfig(segment_doc_chunks=S), n_docs=500,
     )
     single = InvertedIndex(out, preload=True)
-    grid = GridShardedIndex(out, T, S)
+    grid = ShardedIndex(out, T, S)
     try:
         total_files = sum(len(ds.files) for ds in single._seg_ds)
-        counts = grid.cell_segment_file_counts()
-        flat = [c for row in counts for c in row]
+        flat = grid.segment_file_counts()
         assert sum(flat) == total_files  # cells partition the files
         assert max(flat) < total_files
         for q, mode in QUERIES:
@@ -194,6 +192,34 @@ def test_grid_tier_rank_and_score_identical(tmp_path_factory, ray_session):
             assert [d for d, _ in got] == [d for d, _ in want], (q, mode)
             for (d1, s1), (d2, s2) in zip(got, want):
                 assert s1 == s2, (q, mode, d1)
+    finally:
+        grid.shutdown()
+
+
+def test_grid_cell_restart_preserves_results(tmp_path, ray_session):
+    """bm25 term×doc cell fault tolerance: kill one grid cell
+    mid-stream; Ray restarts it from the immutable index files, the
+    in-flight fetch retries, and every query still equals the single
+    process bit for bit."""
+    import ray
+
+    from harvester_ray.config import IndexConfig
+
+    docs = generate_zipf_docs(300, vocab_size=300, mean_len=30, seed=23)
+    out = str(tmp_path / "idx")
+    build_index(
+        ray.data.from_arrow(docs), out,
+        IndexConfig(segment_doc_chunks=2), n_docs=300,
+    )
+    single = InvertedIndex(out, preload=True)
+    grid = ShardedIndex(out, n_term_shards=2, n_doc_shards=2)
+    try:
+        before = [grid.search(q, k=10, mode=mode) for q, mode in QUERIES]
+        ray.kill(grid.cells[1][1], no_restart=False)
+        after = [grid.search(q, k=10, mode=mode) for q, mode in QUERIES]
+        assert after == before == [
+            single.search(q, k=10, mode=mode) for q, mode in QUERIES
+        ]
     finally:
         grid.shutdown()
 
@@ -224,7 +250,7 @@ def test_term_sharded_search_after_matches_single_process(
 ):
     out = term_sharded_setup
     single = InvertedIndex(out, preload=True)
-    tier = TermShardedIndex(out, N_SHARDS)
+    tier = ShardedIndex(out, n_term_shards=N_SHARDS)
     try:
         for q, mode in [("w0 w1", "or"), ("w0 w1", "and")]:
             p1 = single.search(q, k=10, mode=mode)
