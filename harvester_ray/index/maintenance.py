@@ -123,7 +123,10 @@ def load_tombstones_scoped(index_dir: str) -> list[tuple[int, np.ndarray]]:
 
 
 def deleted_for_source(
-    index_dir: str, source_idx: int, as_of: "int | None" = None
+    index_dir: str,
+    source_idx: int,
+    as_of: "int | None" = None,
+    scoped: "list[tuple[int, np.ndarray]] | None" = None,
 ) -> np.ndarray:
     """Sorted unique doc_ids tombstoned for source ``source_idx``.
 
@@ -132,9 +135,12 @@ def deleted_for_source(
     (seq < k) apply — a tombstone stamped seq=k was written at or
     after that commit point. ``as_of=n_sources+1`` therefore admits
     every tombstone (the live view after trailing delete-only
-    commits)."""
+    commits). ``scoped``: load_tombstones_scoped(index_dir), when the
+    caller already read it (one read for every source)."""
+    if scoped is None:
+        scoped = load_tombstones_scoped(index_dir)
     parts = [
-        ids for seq, ids in load_tombstones_scoped(index_dir)
+        ids for seq, ids in scoped
         if seq > source_idx and (as_of is None or seq < as_of)
     ]
     if not parts:

@@ -28,7 +28,6 @@ import math
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
@@ -139,7 +138,8 @@ class _TermPostings:
 
 class _TermBlocks:
     """Undecoded block metadata of one term WITHIN ONE SOURCE (base or
-    one delta), sorted by first_doc_id.
+    one delta), sorted by first_doc_id: a view into that source's
+    _BlockTable, built the first time a query touches the term.
 
     Salt buckets / sort-strategy runs are disjoint ordered doc_id
     ranges, so sorting one source's blocks by first_doc_id yields a
@@ -148,77 +148,44 @@ class _TermBlocks:
     block lists and merges at decode (postings) or runs per-source
     cursors (WAND).
 
-    ``bmax`` holds the idf-free norm maxima (build.bm25_norm) times
-    ``scale``: a source built with avgdl_src stores maxima valid for
-    avgdl_src, and norm grows monotonically with avgdl, so serving
+    ``bmax`` holds the idf-free norm maxima (build.bm25_norm) times the
+    source's scale: a source built with avgdl_src stores maxima valid
+    for avgdl_src, and norm grows monotonically with avgdl, so serving
     under a larger merged avgdl multiplies the bound by at most
     avgdl_merged/avgdl_src — ``scale = max(1, that ratio)`` keeps WAND
     pruning admissible after incremental adds. Callers multiply by the
     term's idf for score upper bounds.
+
+    ``deltas``/``tfs``/``lens`` are (values, offsets) pairs: block i's
+    buffer is ``values[offsets[i]:offsets[i + 1]]`` of the source's
+    contiguous byte buffer, so a view copies no block bytes.
     """
 
     __slots__ = (
-        "first", "last", "bmax", "deltas", "tfs", "lens", "ub_norm", "codec",
+        "first", "last", "bmax", "ub_norm", "deltas", "tfs", "lens", "codec",
     )
 
-    def __init__(
-        self, rows: pd.DataFrame, scale: float = 1.0, codec: str = "varint"
-    ):
-        rows = rows.sort_values("first_doc_id", kind="stable")
-        self._init_sorted(
-            rows["first_doc_id"].to_numpy(np.int64),
-            rows["last_doc_id"].to_numpy(np.int64),
-            rows["block_max_norm"].to_numpy(np.float64) * scale,
-            rows["doc_id_deltas"].tolist(),
-            rows["tfs"].tolist(),
-            rows["doc_lens"].tolist(),
-            codec,
-        )
-
-    @classmethod
-    def from_sorted_arrays(
-        cls, first, last, bmax, deltas, tfs, lens, codec="varint"
-    ) -> "_TermBlocks":
-        """Fast path: already first_doc_id-sorted numpy columns +
-        zero-copy pa.BinaryArray slices (the bulk index-load path —
-        the pandas groupby constructor cost ~10 s on 1.6 M block rows
-        at 2 M docs)."""
-        self = cls.__new__(cls)
-        self._init_sorted(first, last, bmax, deltas, tfs, lens, codec)
-        return self
-
-    def _init_sorted(self, first, last, bmax, deltas, tfs, lens, codec):
-        self.codec = codec
+    def __init__(self, first, last, bmax, ub_norm, deltas, tfs, lens, codec):
         self.first = first
         self.last = last
         self.bmax = bmax
-        self.deltas = deltas  # list[bytes] OR pa.BinaryArray slice
+        self.ub_norm = ub_norm
+        self.deltas = deltas
         self.tfs = tfs
         self.lens = lens
-        self.ub_norm = float(self.bmax.max()) if len(self.bmax) else 0.0
+        self.codec = codec
 
     @staticmethod
-    def _buf(col, i: int) -> bytes:
-        return col[i] if isinstance(col, list) else col[i].as_py()
+    def _buf(col, i: int) -> memoryview:
+        values, off = col
+        return values[off[i] : off[i + 1]]
 
     @staticmethod
-    def _joined(col) -> bytes:
-        """All block buffers concatenated: list join, or (zero-copy
-        range + one copy) straight off the BinaryArray values buffer —
-        blocks are contiguous in the sorted array, so the joined bytes
-        ARE a slice of the underlying buffer."""
-        if isinstance(col, list):
-            return b"".join(col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        bufs = col.buffers()
-        off_dtype = (
-            np.int64 if pa.types.is_large_binary(col.type) else np.int32
-        )
-        off = np.frombuffer(bufs[1], dtype=off_dtype)
-        lo = int(off[col.offset])
-        hi = int(off[col.offset + len(col)])
-        return bufs[2].slice(lo, hi - lo).to_pybytes()
+    def _joined(col) -> memoryview:
+        """All block buffers concatenated: the blocks are contiguous in
+        the source's values buffer, so this is one zero-copy slice."""
+        values, off = col
+        return values[off[0] : off[-1]]
 
     def decode_block(self, i: int):
         dec = _BLOCK_DECODERS[self.codec]
@@ -262,9 +229,183 @@ class _TermBlocks:
         return ids, tf, dl
 
 
+# the segment columns a _BlockTable reads (term, salt, block_id and n
+# are build-side bookkeeping)
+_BLOCK_COLUMNS = [
+    "term_id", "first_doc_id", "last_doc_id", "block_max_norm",
+    "doc_id_deltas", "tfs", "doc_lens",
+]
+
+
+def _byte_column(
+    col: pa.ChunkedArray, order: pa.Array
+) -> "tuple[memoryview, np.ndarray]":
+    """A binary column taken in ``order`` into one contiguous buffer, as
+    (values, int64 offsets). The column is cast to LARGE (int64-offset)
+    binary first: past ~2 GB per column per source (hit at the 20 M-doc
+    soak) int32 offsets would overflow while the take concatenates."""
+    col = col.cast(pa.large_binary()).take(order).combine_chunks()
+    _, off_buf, val_buf = col.buffers()
+    off = np.frombuffer(off_buf, np.int64)[col.offset : col.offset + len(col) + 1]
+    values = memoryview(val_buf if val_buf is not None else b"").cast("B")
+    return values, off
+
+
+class _BlockTable:
+    """All segment blocks of one source as columns, lexsorted by
+    (term_id, first_doc_id), with a CSR offset index over term_id: the
+    blocks of ``tids[i]`` are rows ``starts[i]:starts[i + 1]``.
+
+    There is no per-term object: ``view`` builds a term's _TermBlocks
+    from numpy slices on first touch. Block maxima are stored unscaled
+    and each term's maximum (``ub_norm``) is reduced once per source;
+    the per-source WAND scale is applied in ``view``, so a table stays
+    valid when the merged avgdl changes (InvertedIndex.reopen reuses
+    it). The same constructor serves a preloaded source (the whole
+    segment table) and a lazy read (one term's filtered rows)."""
+
+    __slots__ = (
+        "tids", "starts", "first", "last", "bmax", "ub_norm", "bufs", "codec",
+    )
+
+    def __init__(self, seg: pa.Table, codec: str):
+        self.codec = codec
+        if len(seg) == 0 or "term_id" not in seg.column_names:
+            z = np.empty(0, np.int64)
+            self.tids, self.starts = z, np.zeros(1, np.int64)
+            self.first = self.last = z
+            self.bmax = self.ub_norm = np.empty(0, np.float64)
+            self.bufs = ((memoryview(b""), np.zeros(1, np.int64)),) * 3
+            return
+        tid = seg["term_id"].to_numpy()
+        first = seg["first_doc_id"].to_numpy()
+        order = np.lexsort((first, tid))
+        tid = tid[order]
+        self.first = first[order]
+        self.last = seg["last_doc_id"].to_numpy()[order]
+        self.bmax = seg["block_max_norm"].to_numpy().astype(np.float64)[order]
+        heads = np.concatenate(([0], np.flatnonzero(np.diff(tid)) + 1))
+        self.tids = tid[heads]
+        self.starts = np.append(heads, len(tid))
+        self.ub_norm = np.maximum.reduceat(self.bmax, heads)
+        take = pa.array(order)
+        self.bufs = tuple(
+            _byte_column(seg[name], take)
+            for name in ("doc_id_deltas", "tfs", "doc_lens")
+        )
+
+    def view(self, tid: int, scale: float) -> "_TermBlocks | None":
+        """Term ``tid``'s blocks in this source, maxima times ``scale``;
+        None when the source has no block of the term."""
+        i = int(self.tids.searchsorted(tid))
+        if i == len(self.tids) or self.tids[i] != tid:
+            return None
+        s, e = self.starts[i : i + 2].tolist()
+        (dv, do), (tv, to), (lv, lo) = self.bufs
+        return _TermBlocks(
+            self.first[s:e],
+            self.last[s:e],
+            self.bmax[s:e] * scale,
+            float(self.ub_norm[i]) * scale,
+            (dv, do[s : e + 1]),
+            (tv, to[s : e + 1]),
+            (lv, lo[s : e + 1]),
+            self.codec,
+        )
+
+
+class _Source:
+    """One committed source (the base or a delta) as loaded: stats,
+    dictionary table, segment dataset, doc ids and, once preloaded, its
+    _BlockTable. A committed source never changes (LSM), so
+    InvertedIndex.reopen hands an unchanged source to the new index as
+    is; ``key`` tells unchanged from rewritten (see _source_key)."""
+
+    __slots__ = (
+        "key", "paths", "stats", "codec", "dictionary", "segments",
+        "doc_ids", "blocks",
+    )
+
+    def __init__(self, key, paths, stats, dictionary, segments, doc_ids):
+        self.key = key
+        self.paths = paths
+        self.stats = stats
+        self.codec = stats.get("codec", "varint")
+        self.dictionary = dictionary
+        self.segments = segments
+        self.doc_ids = doc_ids
+        self.blocks: "_BlockTable | None" = None
+
+    def read_blocks(self, term_id: "int | None" = None) -> _BlockTable:
+        """All of this source's blocks, or only ``term_id``'s (a
+        predicate-pushdown read of that term's row groups)."""
+        if not self.segments.files:  # empty shard/source
+            return _BlockTable(pa.table({}), self.codec)
+        return _BlockTable(
+            self.segments.to_table(
+                columns=_BLOCK_COLUMNS,
+                filter=None if term_id is None
+                else pads.field("term_id") == term_id,
+            ),
+            self.codec,
+        )
+
+    def view(self, tid: int, scale: float) -> "_TermBlocks | None":
+        """Term ``tid``'s blocks in this source: from the preloaded
+        table, or from a one-term read when not preloaded."""
+        table = self.blocks
+        if table is None:
+            table = self.read_blocks(tid)
+        return table.view(tid, scale)
+
+
+def _source_key(src_dir: str) -> tuple:
+    """Identity of a committed source: its path plus the device, inode,
+    mtime and size of its stats.json (build_index writes that file
+    last). A path alone is not enough: a merge renames a new index onto
+    the same dir and delta names restart at delta-000, and either
+    rewrites stats.json."""
+    st = os.stat(os.path.join(src_dir, "stats.json"))
+    return (src_dir, st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
+
+
+def _merged_dictionary(tables: "list[pa.Table]") -> dict:
+    """term -> (term_id, sum df, sum cf) over the sources' dictionary
+    tables, in first-appearance order. One vectorized group-by on
+    term_id (build_index rejects term_id collisions) for any number of
+    sources; df/cf count tombstoned postings until compaction
+    (Lucene-style)."""
+    tbl = pa.concat_tables(tables)
+    if len(tbl) == 0:
+        return {}
+    uniq, head, inv = np.unique(
+        tbl["term_id"].to_numpy(), return_index=True, return_inverse=True
+    )
+    df = np.zeros(len(uniq), np.int64)
+    cf = np.zeros(len(uniq), np.int64)
+    np.add.at(df, inv, tbl["df"].to_numpy())
+    np.add.at(cf, inv, tbl["cf"].to_numpy())
+    order = np.argsort(head)
+    terms = tbl["term"].take(pa.array(head[order])).to_numpy().tolist()
+    return dict(
+        zip(
+            terms,
+            zip(
+                uniq[order].tolist(),
+                df[order].tolist(),
+                cf[order].tolist(),
+            ),
+        )
+    )
+
+
 class InvertedIndex:
-    """Loads dictionary + stats eagerly, segment blocks lazily (with an
-    in-process cache) or fully in memory (``preload=True`` for bench).
+    """Loads dictionary + stats eagerly and segment blocks either lazily
+    (``preload=False``: one filtered read per term on first touch) or
+    all at once (``preload=True``: one columnar _BlockTable per source).
+    Either way a term's per-source _TermBlocks view is built the first
+    time a query touches it, by the same _BlockTable code, and cached in
+    ``_block_cache`` (clearing that cache only costs a rebuild).
 
     Serves the base index PLUS any delta sources added by
     ``maintenance.add_docs``/``upsert_docs``: dictionaries and global
@@ -272,6 +413,11 @@ class InvertedIndex:
     add-then-query is rank- and score-identical to a full rebuild of
     the union. Per-source tombstones are applied at posting decode
     (exhaustive paths) or at pivot scoring (WAND).
+
+    ``reopen()`` is the incremental open after a commit (Lucene's
+    ``DirectoryReader.openIfChanged``): committed sources are immutable,
+    so the new index reuses every unchanged source's loaded state and
+    reads only new sources and the tombstones.
 
     At 100 TB scale the segments directory is hash-partitioned parquet;
     per-term block fetch is a predicate-pushdown read of only that
@@ -288,7 +434,11 @@ class InvertedIndex:
         term_shard: "tuple[int, int] | None" = None,
         as_of: "int | None" = None,
     ):
-        """``analyzer``: override the analyzer recorded in stats.json
+        """``preload``: read every source's segments at open, one
+        _BlockTable per source (``_preload_segments``); otherwise each
+        term's rows are read on first touch. Results are identical.
+
+        ``analyzer``: override the analyzer recorded in stats.json
         (functions.text.Analyzer). ``scorer``: SURVEY §2.10 scorer plug
         point — a callable ``(tf, dl, df, n_docs, avgdl, k1, b) ->
         scores`` replacing BM25 on the exhaustive/dense paths; WAND
@@ -322,9 +472,35 @@ class InvertedIndex:
         ``shard`` (a (term × doc) grid actor loads bucket-and-chunk
         filtered files).
         """
+        self._open(
+            index_dir, preload, analyzer, scorer, shard, term_shard, as_of, {}
+        )
+
+    def reopen(self) -> "InvertedIndex":
+        """A new index over the directory's current commit, with the same
+        options. Sources whose identity (_source_key) is unchanged are
+        reused as loaded — stats, dictionary table, doc ids and, when
+        preloaded, the _BlockTable object itself; only new or rewritten
+        sources and the tombstone files are read, then the merged
+        dictionary, global stats and WAND scales are rebuilt. A merge
+        that swaps a new index onto the dir changes every identity, so
+        nothing is reused across it. Results equal a fresh open."""
+        new = type(self).__new__(type(self))
+        new._open(
+            self.index_dir, self._preload, self._analyzer_arg, self.scorer,
+            self.shard, self.term_shard, self.as_of,
+            {s.key: s for s in self._sources},
+        )
+        return new
+
+    def _open(
+        self, index_dir, preload, analyzer, scorer, shard, term_shard,
+        as_of, reuse: "dict[tuple, _Source]",
+    ) -> None:
         from harvester_ray.index.build import IndexPaths
         from harvester_ray.index.maintenance import (
             deleted_for_source,
+            load_tombstones_scoped,
             source_dirs,
         )
 
@@ -347,11 +523,28 @@ class InvertedIndex:
             src_dirs = src_dirs[:as_of]
         self.as_of = as_of
         self.paths = IndexPaths(index_dir)  # base source (back-compat)
-        self._src_paths = [IndexPaths(d) for d in src_dirs]
-        stats_list = []
-        for p in self._src_paths:
-            with open(p.stats) as f:
-                stats_list.append(json.load(f))
+        if shard is not None:
+            c, S = shard
+            if S < 1 or (S & (S - 1)) or not (0 <= c < S):
+                raise ValueError(f"shard must be (c, power-of-two S): {shard}")
+        if term_shard is not None:
+            ts, T = term_shard
+            if T < 1 or not (0 <= ts < T):
+                raise ValueError(
+                    f"term_shard must be (s, T) with 0 <= s < T: {term_shard}"
+                )
+        self.shard = shard
+        self.term_shard = term_shard
+        self._preload = preload
+        self._analyzer_arg = analyzer
+        self._sources: list[_Source] = []
+        for d in src_dirs:
+            key = _source_key(d)
+            src = reuse.get(key)
+            self._sources.append(
+                src if src is not None else self._load_source(d, key)
+            )
+        stats_list = [s.stats for s in self._sources]
         self.stats = dict(stats_list[0])
         self.stats["n_docs"] = sum(s["n_docs"] for s in stats_list)
         self.stats["total_tokens"] = sum(s["total_tokens"] for s in stats_list)
@@ -368,12 +561,8 @@ class InvertedIndex:
             self.stats.get("analyzer", "default")
         )
         self.scorer = scorer
-        self.shard = shard
         self._chunk_bounds = None
         if shard is not None:
-            c, S = shard
-            if S < 1 or (S & (S - 1)) or not (0 <= c < S):
-                raise ValueError(f"shard must be (c, power-of-two S): {shard}")
             from harvester_ray.index.build import legacy_chunk_bounds
 
             # absent bounds (pre-round-5 sources) NORMALIZE to the
@@ -386,16 +575,17 @@ class InvertedIndex:
                 else None
             )
             bounds_seen = set()
-            for s, p in zip(stats_list, self._src_paths):
+            for src in self._sources:
+                s = src.stats
                 if (
                     s.get("segment_strategy") != "bucket"
                     or s.get("segment_doc_chunks") != S
                 ):
                     raise ValueError(
-                        f"source {p.root} was not built with the bucket "
-                        f"strategy at segment_doc_chunks={S}; rebuild "
-                        "with IndexConfig(segment_doc_chunks=S) to serve "
-                        "doc-sharded"
+                        f"source {src.paths.root} was not built with the "
+                        f"bucket strategy at segment_doc_chunks={S}; "
+                        "rebuild with IndexConfig(segment_doc_chunks=S) "
+                        "to serve doc-sharded"
                     )
                 b = s.get("chunk_bounds")
                 bounds_seen.add(
@@ -411,22 +601,16 @@ class InvertedIndex:
                 self._chunk_bounds = np.asarray(
                     bounds_seen.pop(), dtype=np.int64
                 )
-        self.term_shard = term_shard
         if term_shard is not None:
-            ts, T = term_shard
-            if T < 1 or not (0 <= ts < T):
-                raise ValueError(
-                    f"term_shard must be (s, T) with 0 <= s < T: {term_shard}"
-                )
             nbs = set()
-            for s, p in zip(stats_list, self._src_paths):
-                if s.get("segment_strategy") != "bucket":
+            for src in self._sources:
+                if src.stats.get("segment_strategy") != "bucket":
                     raise ValueError(
-                        f"source {p.root} was not built with the bucket "
-                        "strategy; term-sharded serving selects "
+                        f"source {src.paths.root} was not built with the "
+                        "bucket strategy; term-sharded serving selects "
                         "per-term-bucket dictionary/segment files"
                     )
-                nbs.add(s.get("num_term_buckets"))
+                nbs.add(src.stats.get("num_term_buckets"))
             if len(nbs) > 1:
                 raise ValueError(
                     f"sources disagree on num_term_buckets: {nbs}; "
@@ -439,78 +623,22 @@ class InvertedIndex:
                     f"n_term_shards={T} exceeds num_term_buckets={nb}; "
                     "shards beyond the bucket count would be empty"
                 )
-        self._codecs = [s.get("codec", "varint") for s in stats_list]
-        # admissible WAND-bound rescale per source (see _TermBlocks)
+        # admissible WAND-bound rescale per source (see _TermBlocks),
+        # applied when a view is built: the tables hold unscaled maxima
         self._bmax_scale = [
             max(1.0, self.avgdl / s["avgdl"]) if s["avgdl"] > 0 else 1.0
             for s in stats_list
         ]
-        # merged dictionary: term -> (term_id, sum df, sum cf) — df/cf
-        # count tombstoned postings until compaction (Lucene-style)
-        dict_tbls = [self._read_dictionary(p) for p in self._src_paths]
-        if len(dict_tbls) == 1:
-            d = dict_tbls[0].to_pandas()
-            self.dictionary = {
-                t: (int(i), int(df), int(cf))
-                for t, i, df, cf in zip(
-                    d["term"], d["term_id"], d["df"], d["cf"]
-                )
-            }
-        else:
-            merged = (
-                pa.concat_tables(dict_tbls)
-                .group_by(["term", "term_id"])
-                .aggregate([("df", "sum"), ("cf", "sum")])
-            )
-            self.dictionary = {
-                t: (int(i), int(df), int(cf))
-                for t, i, df, cf in zip(
-                    merged["term"].to_pylist(),
-                    merged["term_id"].to_pylist(),
-                    merged["df_sum"].to_pylist(),
-                    merged["cf_sum"].to_pylist(),
-                )
-            }
-        if shard is None and term_shard is None:
-            self._seg_ds = [pads.dataset(p.segments) for p in self._src_paths]
-        else:
-            # chunk c's postings live in the ...c{c}.parquet files (doc
-            # shard opens 1/S of every source's segment files); bucket
-            # b's postings live in the part-bucket{b}... files (term
-            # shard opens ~1/T). A (term × doc) grid actor applies both.
-            suffix = (
-                f"c{shard[0]:02d}.parquet" if shard is not None else None
-            )
-
-            def _owned(f: str) -> bool:
-                if not f.endswith(".parquet"):
-                    return False
-                if suffix is not None and not f.endswith(suffix):
-                    return False
-                if term_shard is not None:
-                    m = _SEG_PART_RE.match(f)
-                    if m is None:
-                        return False
-                    ts, T = term_shard
-                    if int(m.group(1)) % T != ts:
-                        return False
-                return True
-
-            self._seg_ds = [
-                pads.dataset(
-                    [
-                        os.path.join(p.segments, f)
-                        for f in sorted(os.listdir(p.segments))
-                        if _owned(f)
-                    ],
-                    format="parquet",
-                )
-                for p in self._src_paths
-            ]
-        # per-source tombstone sets (arrays for isin, sets for WAND)
+        self.dictionary = _merged_dictionary(
+            [s.dictionary for s in self._sources]
+        )
+        self._seg_ds = [s.segments for s in self._sources]
+        # per-source tombstone sets (arrays for isin, sets for WAND),
+        # re-read on every open: deletes commit without a new source
+        scoped = load_tombstones_scoped(index_dir)
         self._dead = [
-            deleted_for_source(index_dir, i, as_of=as_of)
-            for i in range(len(src_dirs))
+            deleted_for_source(index_dir, i, as_of=as_of, scoped=scoped)
+            for i in range(len(self._sources))
         ]
         self._dead_sets = [
             set(d.tolist()) if len(d) else None for d in self._dead
@@ -520,97 +648,99 @@ class InvertedIndex:
         # dense scoring state (single-shard path): sorted doc_id slots +
         # per-term (positions, precomputed BM25 scores). At 10^12-doc
         # scale a query actor owns one doc_id shard and this array is
-        # that shard's doc table, not the whole corpus.
+        # that shard's doc table, not the whole corpus. A term-shard
+        # actor never loads the doc table: it serves per-term scored
+        # postings to the router (serving.ShardedIndex), which owns the
+        # cross-term accumulation — actor memory is vocab/T + its
+        # segment slice, independent of corpus size.
         self._slots: np.ndarray | None = None
         self._dense_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        if term_shard is not None:
-            # a term-shard actor never loads the doc table: it serves
-            # per-term scored postings to the router (serving.ShardedIndex),
-            # which owns the cross-term accumulation — actor memory is
-            # vocab/T + its segment slice, independent of corpus size
-            self._preloaded = False
-            if preload:
-                self._preload_segments()
-            return
-        try:
-            id_parts = [
-                pq.read_table(p.doc_table, columns=["doc_id"])[
-                    "doc_id"
-                ].to_numpy()
-                for p in self._src_paths
-            ]
+        id_parts = [s.doc_ids for s in self._sources]
+        if term_shard is None and all(p is not None for p in id_parts):
             self._slots = np.unique(np.concatenate(id_parts))
             if shard is not None and self._chunk_bounds is not None:
                 from harvester_ray.index.build import chunk_of_ids
 
                 chunk_of = chunk_of_ids(self._slots, self._chunk_bounds)
                 self._slots = self._slots[chunk_of == shard[0]]
-        except Exception:
-            self._slots = None
         if preload:
             self._preload_segments()
-        else:
-            self._preloaded = False
+
+    def _load_source(self, src_dir: str, key: tuple) -> _Source:
+        """Read one source's stats, dictionary (term shard: owned
+        buckets only), segment dataset (shard-filtered) and doc ids."""
+        from harvester_ray.index.build import IndexPaths
+
+        p = IndexPaths(src_dir)
+        with open(p.stats) as f:
+            stats = json.load(f)
+        doc_ids = None
+        if self.term_shard is None:
+            # no readable doc table: the dense path is off (_slots None)
+            try:
+                doc_ids = pq.read_table(p.doc_table, columns=["doc_id"])[
+                    "doc_id"
+                ].to_numpy()
+            except (OSError, pa.ArrowException):
+                doc_ids = None
+        return _Source(
+            key, p, stats, self._read_dictionary(p),
+            self._segment_dataset(p), doc_ids,
+        )
+
+    def _segment_dataset(self, p) -> pads.Dataset:
+        """One source's segment files: all of them, or only this cell's
+        — chunk c's postings live in the ...c{c}.parquet files (doc
+        shard opens 1/S of every source's segment files); bucket b's
+        postings live in the part-bucket{b}... files (term shard opens
+        ~1/T). A (term × doc) grid actor applies both."""
+        shard, term_shard = self.shard, self.term_shard
+        if shard is None and term_shard is None:
+            return pads.dataset(p.segments)
+        suffix = f"c{shard[0]:02d}.parquet" if shard is not None else None
+
+        def _owned(f: str) -> bool:
+            if not f.endswith(".parquet"):
+                return False
+            if suffix is not None and not f.endswith(suffix):
+                return False
+            if term_shard is not None:
+                m = _SEG_PART_RE.match(f)
+                if m is None:
+                    return False
+                ts, T = term_shard
+                if int(m.group(1)) % T != ts:
+                    return False
+            return True
+
+        return pads.dataset(
+            [
+                os.path.join(p.segments, f)
+                for f in sorted(os.listdir(p.segments))
+                if _owned(f)
+            ],
+            format="parquet",
+        )
 
     def _preload_segments(self) -> None:
-        """Bulk load: ONE lexsort + take per source, then zero-copy
-        binary slices per term run — the pandas-groupby constructor
-        cost ~10 s on 1.6 M block rows at 2 M docs. Block-buffer
-        columns are cast to LARGE (int64-offset) binary first: past
-        ~2 GB per column per source (hit at the 20 M-doc soak) the
-        int32-offset take/combine would overflow while concatenating."""
-        for si, ds in enumerate(self._seg_ds):
-            seg = ds.to_table()
-            if "term_id" not in seg.column_names or len(seg) == 0:
-                continue
-            for name in ("doc_id_deltas", "tfs", "doc_lens"):
-                i = seg.column_names.index(name)
-                seg = seg.set_column(
-                    i,
-                    name,
-                    seg[name].cast(pa.large_binary()),
-                )
-            tid = seg["term_id"].to_numpy(zero_copy_only=False)
-            first = seg["first_doc_id"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((first, tid))
-            seg = seg.take(pa.array(order))
-            tid, first = tid[order], first[order]
-            last = seg["last_doc_id"].to_numpy(zero_copy_only=False)
-            bmax = (
-                seg["block_max_norm"]
-                .to_numpy(zero_copy_only=False)
-                .astype(np.float64)
-                * self._bmax_scale[si]
-            )
-            deltas = seg["doc_id_deltas"].combine_chunks()
-            tfs = seg["tfs"].combine_chunks()
-            lens = seg["doc_lens"].combine_chunks()
-            change = np.nonzero(np.diff(tid))[0] + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [len(tid)]))
-            codec = self._codecs[si]
-            for s_, e_ in zip(starts, ends):
-                per_src = self._block_cache.setdefault(
-                    int(tid[s_]), [None] * len(self._src_paths)
-                )
-                per_src[si] = _TermBlocks.from_sorted_arrays(
-                    first[s_:e_],
-                    last[s_:e_],
-                    bmax[s_:e_],
-                    deltas.slice(s_, e_ - s_),
-                    tfs.slice(s_, e_ - s_),
-                    lens.slice(s_, e_ - s_),
-                    codec,
-                )
-        self._preloaded = True
+        """Preload: read each source's whole segment dataset ONCE into a
+        _BlockTable — one lexsort + take per source, plus a CSR offset
+        index over term_id and per-term maxima by one reduceat. No
+        per-term object is made at open; a term's view is built on first
+        touch (term_blocks_per_source). A source that already holds a
+        table (handed over by reopen) is not read again."""
+        for src in self._sources:
+            if src.blocks is None:
+                src.blocks = src.read_blocks()
 
     def _read_dictionary(self, p) -> pa.Table:
         """One source's dictionary — term-sharded loads ONLY the owned
         per-bucket parts (bucket % T == s), so actor dict memory is
         ∝ vocab/T; unsharded reads the whole directory as before."""
         d = p.dictionary
+        cols = ["term", "term_id", "df", "cf"]
         if self.term_shard is None or not os.path.isdir(d):
-            return pq.read_table(d)
+            return pq.read_table(d, columns=cols)
         ts, T = self.term_shard
         files = []
         for f in sorted(os.listdir(d)):
@@ -626,52 +756,32 @@ class InvertedIndex:
                     "cf": pa.array([], pa.int64()),
                 }
             )
-        return pa.concat_tables([pq.read_table(f) for f in files])
+        return pa.concat_tables(
+            [pq.read_table(f, columns=cols) for f in files]
+        )
 
     @property
     def n_sources(self) -> int:
-        return len(self._src_paths)
+        return len(self._sources)
 
     # -- posting access -------------------------------------------------
     def term_blocks_per_source(
         self, term: str
     ) -> "list[_TermBlocks | None] | None":
-        """One _TermBlocks (or None) per source for this term."""
+        """One _TermBlocks (or None) per source for this term, built on
+        first touch from each source's preloaded _BlockTable, or from a
+        one-term filtered read when the source is not preloaded."""
         meta = self.dictionary.get(term)
         if meta is None:
             return None
         tid = meta[0]
         blocks = self._block_cache.get(tid)
         if blocks is None:
-            if self._preloaded:
-                return None
-            blocks = []
-            for si, ds in enumerate(self._seg_ds):
-                if not ds.files:  # empty shard/source
-                    blocks.append(None)
-                    continue
-                tbl = ds.to_table(filter=pads.field("term_id") == tid)
-                if len(tbl) == 0:
-                    blocks.append(None)
-                    continue
-                first = tbl["first_doc_id"].to_numpy(zero_copy_only=False)
-                order = np.argsort(first, kind="stable")
-                tbl = tbl.take(pa.array(order))
-                blocks.append(
-                    _TermBlocks.from_sorted_arrays(
-                        first[order],
-                        tbl["last_doc_id"].to_numpy(zero_copy_only=False),
-                        tbl["block_max_norm"]
-                        .to_numpy(zero_copy_only=False)
-                        .astype(np.float64)
-                        * self._bmax_scale[si],
-                        tbl["doc_id_deltas"].combine_chunks(),
-                        tbl["tfs"].combine_chunks(),
-                        tbl["doc_lens"].combine_chunks(),
-                        self._codecs[si],
-                    )
-                )
-            if not any(b is not None for b in blocks):
+            blocks = [
+                src.view(tid, scale)
+                for src, scale in zip(self._sources, self._bmax_scale)
+            ]
+            if not any(blocks):
                 return None
             self._block_cache[tid] = blocks
         return blocks

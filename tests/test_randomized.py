@@ -19,7 +19,7 @@ from harvester_ray.index.build import (
     spimi_postings_batch,
 )
 from harvester_ray.index.oracle import OracleIndex
-from harvester_ray.index.query import _TermBlocks
+from harvester_ray.index.query import _BlockTable
 
 
 def _random_corpus(rng: np.random.Generator, n_docs: int):
@@ -42,9 +42,8 @@ def _random_corpus(rng: np.random.Generator, n_docs: int):
 
 def _engine_blocks(rows, block_size: int):
     """Run the real batch pipeline: SPIMI → per-term sorted run encode →
-    _TermBlocks, returning {term: (_TermBlocks, df)} + stats."""
-    import pandas as pd
-
+    the engine's per-term view of a block table, returning
+    {term: _TermBlocks} + df map + stats."""
     batch = pa.table(
         {
             "doc_id": pa.array([d for d, _ in rows], pa.int64()),
@@ -67,7 +66,7 @@ def _engine_blocks(rows, block_size: int):
             g["doc_len"].to_numpy(np.int64),
             avgdl, 1.2, 0.75, block_size,
         )
-        blocks[term] = _TermBlocks(seg.to_pandas())
+        blocks[term] = _BlockTable(seg, "varint").view(hash64(term), 1.0)
         df_map[term] = len(g)
     return blocks, df_map, n_docs, avgdl
 
