@@ -263,7 +263,7 @@ def _timed_build(corpus_dir: str, n_docs: int, tag: str, cfg=None) -> dict:
     shutil.rmtree(out_dir, ignore_errors=True)
     docs = ray.data.read_parquet(corpus_dir)
     t0 = time.time()
-    cfg = cfg or IndexConfig(salt_df_threshold=50_000, salt_buckets=16)
+    cfg = cfg or IndexConfig()
     paths = build_index(docs, out_dir, cfg, n_docs=n_docs)
     build_sec = time.time() - t0
     return {"sec": build_sec, "paths": paths, "out_dir": out_dir}

@@ -8,8 +8,8 @@ Ray Data pipeline over Arrow batches:
 - ``stages.extract``    HTML→text extraction actor pool (the reference's
                         record→document transform, harvester/solr_updater.py:688)
 - ``stages.tokenize``   normalize/tokenize/doc-stats (harvester/solr_updater.py:561)
-- ``index.build``       SPIMI partial postings → dictionary → skew-salted
-                        term groupby → varint/block-max segments
+- ``index.build``       SPIMI postings hive-partitioned by term bucket →
+                        per-bucket dictionary ∥ varint/block-max segments
 - ``index.query``       BM25 top-k (exhaustive + Block-Max WAND), query actors
 - ``stages.dedup``      exact / MinHash-LSH / SimHash / n-gram-Jaccard dedup
 - ``stages.textstats``  language-ID, quality scoring, token counts, fingerprints

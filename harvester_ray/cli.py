@@ -73,8 +73,6 @@ def _cfg(args) -> "IndexConfig":
     from harvester_ray.config import IndexConfig
 
     kw = {}
-    if getattr(args, "strategy", None):
-        kw["segment_strategy"] = args.strategy
     if getattr(args, "buckets", None):
         kw["num_term_buckets"] = args.buckets
     return IndexConfig(**kw)
@@ -376,14 +374,12 @@ def main(argv: list[str] | None = None) -> int:
     b = sub.add_parser("build", help="index a (doc_id, text) parquet table")
     b.add_argument("--input", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--strategy", choices=["bucket", "sort", "salted_groupby"])
     b.add_argument("--buckets", type=int)
     b.set_defaults(fn=cmd_build)
 
     bp = sub.add_parser("build-pages", help="pages parquet → extract → index")
     bp.add_argument("--pages", required=True)
     bp.add_argument("--out", required=True)
-    bp.add_argument("--strategy", choices=["bucket", "sort", "salted_groupby"])
     bp.add_argument("--buckets", type=int)
     bp.set_defaults(fn=cmd_build_pages)
 
@@ -393,7 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     up_p.add_argument("--pages", required=True)
     up_p.add_argument("--out", required=True)
-    up_p.add_argument("--strategy", choices=["bucket", "sort", "salted_groupby"])
     up_p.add_argument("--buckets", type=int)
     up_p.set_defaults(fn=cmd_update_pages)
 

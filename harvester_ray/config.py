@@ -21,63 +21,49 @@ class BM25Params:
 class IndexConfig:
     """Knobs for the index build.
 
+    The build has one path (index/build.py): SPIMI writes postings
+    hive-partitioned by hash(term_id) % ``num_term_buckets`` — the
+    partitioned write IS the shuffle (the classic MapReduce index
+    shape) — then one independent task per bucket builds its
+    dictionary part and one per (bucket, doc chunk) encodes its
+    segment blocks (read → numpy lexsort → run encode). The block
+    layout is fully deterministic.
+
     Scale notes (sized for a 256-node cluster streaming ~100 TB):
 
     - ``block_size``: postings per compressed block; 128 is the classic
       Block-Max WAND granularity.
-    - ``salt_df_threshold``: terms with global df >= threshold are
-      "head" terms whose postings groups are salted into
-      ``salt_buckets`` doc_id-range sub-groups before the term groupby,
-      so no single group exceeds worker memory (SURVEY.md §4 skew row).
-      Buckets are *ordered* by doc_id high bits, so concatenating
-      sub-group blocks preserves global doc_id order.
-    - ``tokenize_batch_size``: rows per tokenize batch. Text rows are
-      ~KBs; 4096 rows ≈ a few MB per batch.
+    - ``segment_doc_chunks``: head-term skew control — each bucket's
+      encode splits into this many contiguous doc_id ranges, so no task
+      holds a hot term's whole posting list (SURVEY.md §4 skew row).
     - ``extract_batch_size``: rows per HTML-extraction batch. HTML rows
       can be MBs, keep small (FIXTURES/SURVEY hard part (f)).
     """
 
     bm25: BM25Params = field(default_factory=BM25Params)
     block_size: int = 128
-    # "bucket" (default): map-side partition — SPIMI writes postings
-    #   hive-partitioned by hash(term_id) % num_term_buckets; the
-    #   segments stage is one independent task per bucket (read →
-    #   numpy lexsort → run encode). The shuffle is the partitioned
-    #   write itself (the classic MapReduce index shape); fully
-    #   deterministic block layout. Giant buckets are encoded in
-    #   doc_id-range chunks, so memory stays bounded under skew.
-    # "sort": Ray range-partitioned sort by (term_id, doc_id) +
-    #   run-splitting batch encoder — head-term skew is spread across
-    #   range partitions by the sort's boundary sampling.
-    # "salted_groupby": hash groupby on (term_id, salt) with explicit
-    #   doc_id-range salting of head terms.
-    segment_strategy: str = "bucket"
     # 128 (was 32): encode tasks = buckets × chunks, and with buckets
     # == CPUs the stage ran as ONE wave whose wall time was its most
-    # skewed bucket (salted head terms still concentrate postings).
+    # skewed bucket (head terms concentrate postings).
     # 4 waves per 32 CPUs let the scheduler balance skew: measured
     # interleaved at sf0.1/2M docs the segments stage fell 38-42 s →
     # 7.4 s (5×) and the whole build 64-82 s → 34 s. At cluster scale
     # buckets should stay a few × total cores for the same reason.
     num_term_buckets: int = 128
-    # per-bucket doc_id-range fan-out for the bucket strategy: encode
-    # tasks = buckets x chunks, so a hot term cannot pin one task's
-    # memory/runtime; per-term runs from different chunks are disjoint
-    # ordered doc ranges and merge at query load (same invariant the
-    # salted strategy relies on). Chunk membership is a contiguous
+    # per-bucket doc_id-range fan-out: encode tasks = buckets x
+    # chunks, so a hot term cannot pin one task's memory/runtime;
+    # per-term runs from different chunks are disjoint ordered doc
+    # ranges and merge at query load. Chunk membership is a contiguous
     # signed doc_id range and the SPIMI bucket files are doc_id-sorted
     # with sized row groups, so each chunk task's range filter prunes
     # its read to ~1/chunks of the bucket by row-group statistics —
     # no read amplification. Doc-sharded serving requires
     # segment_doc_chunks == n_shards (power of two).
     segment_doc_chunks: int = 1
-    salt_df_threshold: int = 100_000
-    salt_buckets: int = 64
-    tokenize_batch_size: int = 8192
-    # bucket-strategy SPIMI batch: the per-batch fixed cost is the side
-    # writes (one file per term bucket per batch), so batches are much
-    # larger than tokenize_batch_size; ~32k docs x ~1KB text ≈ 32 MB in
-    # flight per task. Lower it for wide rows (multi-MB html).
+    # SPIMI batch: the per-batch fixed cost is the side writes (one
+    # file per term bucket per batch), so batches are large; ~32k docs
+    # x ~1KB text ≈ 32 MB in flight per task. Lower it for wide rows
+    # (multi-MB html).
     spimi_batch_size: int = 32768
     extract_batch_size: int = 128
     # autoscaling (min, max) actor pool: min=1 so concurrent stage

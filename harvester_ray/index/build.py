@@ -1,5 +1,5 @@
-"""Inverted-index build: SPIMI partials → {dictionary ∥ doc table ∥
-salted/sorted term shuffle → varint/block-max segments}.
+"""Inverted-index build: one SPIMI pass that IS the term shuffle →
+{per-bucket dictionary ∥ per-(bucket, doc chunk) block-max segments}.
 
 This is the Ray-Data-native re-expression of the reference's
 couch→solr index sync (``sync_couch_collection_to_solr``,
@@ -7,34 +7,41 @@ harvester/solr_updater.py:831-872: validate → map → index-write) with
 Solr replaced by our own segment format. Pipeline shape (SURVEY.md §7):
 
     read_parquet(docs)
-      → map_batches(spimi_postings_batch)          # stateless combiner
-      → write_parquet(postings/)                   # stage checkpoint
-    then, CONCURRENTLY off that one checkpoint:
-      dictionary/  partial agg → groupby(term).sum
-      doc_table/   per-batch distinct → tiny doc_id groupby
-      segments/    sort(term_id, doc_id) → run-split block encode
+      → map_batches(make_spimi_with_sides)   # stateless combiner; side-
+                                             # writes the doc table and the
+                                             # postings hive-partitioned by
+                                             # hash(term_id) % num_term_buckets
+    then one independent Ray task per present term bucket:
+      dictionary/  bucket_dictionary: df/cf group-by of the bucket
+      segments/    encode_postings per doc chunk: (term_id, doc_id)
+                   lexsort → run split → block encode
+
+``maintenance.merge_sources`` re-runs the same two per-bucket
+functions over the sources' retained postings, so a merged index and a
+fresh build encode identically.
 
 Key design points for 100 TB scale:
 
 - Segments store the *idf-free* BM25 normalization part
   ``(tf·(k1+1))/(tf + k1·(1−b+b·dl/avgdl))`` and its block max; idf is
   a per-term constant applied at query time from the dictionary. This
-  removes any df dependency from segment encoding, so the big shuffle
-  needs NO pre-built dictionary and the three post-SPIMI stages run
-  concurrently.
-- The only all-to-all exchanges are the term shuffle (sort- or
-  hash-partitioned; see IndexConfig.segment_strategy) and the (small,
-  pre-combined) dictionary/doc-table groupbys.
-- Head-term skew: the default "sort" strategy spreads a hot term's
-  postings across range partitions (sampled boundaries) — no posting
-  group ever has to fit one worker; the alternative "salted_groupby"
-  strategy salts head terms (df ≥ threshold, taken from the dictionary)
-  into ordered, disjoint doc_id-range sub-groups.
+  removes any df dependency from segment encoding, so the segment
+  stage needs NO pre-built dictionary.
+- The only all-to-all exchange is the map-side bucket write itself
+  (the classic MapReduce index shape); bucket and segment tasks are
+  embarrassingly parallel and their block layout is deterministic.
+- Head-term skew: ``segment_doc_chunks`` splits each bucket's encode
+  into contiguous doc_id-range chunks, so no task has to hold a hot
+  term's whole posting list.
 - ``doc_id``/``term_id`` are stable blake2b hashes (functions/text.py),
   so two runs or two cluster sizes produce identical ids
   (SURVEY.md §7 hard part (d)).
 - Every stage checkpoint goes through ``state.lineage.run_stage``
   (atomic write + lineage record + skip-if-unchanged resume).
+
+Indexes written by the retired sort and salted group-by strategies
+(``stats.json`` ``segment_strategy`` other than "bucket") still open
+and search single-process; they cannot be sharded or merged.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Sum
 
 from harvester_ray.config import DEFAULT_INDEX_CONFIG, IndexConfig
 from harvester_ray.functions.codec import (
@@ -68,7 +74,8 @@ from harvester_ray.functions.text import (
 ENGINE_VERSION = 4  # v4: stats.json records num_term_buckets (term-shard tier)
 
 # Map signed int64 order onto unsigned order (flip the sign bit), so
-# salt buckets are *ordered, disjoint* doc_id ranges in signed order.
+# top-bit doc chunks (legacy_chunk_bounds) are *ordered, disjoint*
+# doc_id ranges in signed order.
 _SIGN_FLIP = np.uint64(1) << np.uint64(63)
 # driver-side merge guard: tables under this land on the driver, larger
 # ones take the distributed path (doc-table validation, chunk bounds)
@@ -77,9 +84,9 @@ _DRIVER_MERGE_BYTES = 256 * 1024 * 1024
 
 @dataclass(frozen=True)
 class IndexPaths:
-    """Layout: stage 1 ("spimi") writes postings plus two side outputs
-    (doc table, dictionary partials) in ONE pass; dictionary and
-    segments are separate resumable stages."""
+    """Layout: stage 1 ("spimi") writes the term-bucketed postings and
+    the doc table in ONE pass; dictionary and segments are separate
+    resumable stages."""
 
     root: str
 
@@ -96,10 +103,6 @@ class IndexPaths:
         return os.path.join(self.root, "spimi", "doc_table")
 
     @property
-    def dict_partials(self) -> str:
-        return os.path.join(self.root, "spimi", "dict_partials")
-
-    @property
     def dictionary(self) -> str:
         return os.path.join(self.root, "dictionary")
 
@@ -113,13 +116,15 @@ class IndexPaths:
 
 
 class _SpimiBatch:
-    """Fused per-batch SPIMI state: postings + doc table + dictionary
-    partials derived from ONE sorted key array (no Arrow group_by —
-    the string-key hash aggregate was the measured hot spot at ~0.5 s
-    per 8 k-doc batch; the int64-key sort is ~10x cheaper).
+    """Fused per-batch SPIMI state: postings + doc table derived from
+    ONE sorted key array (no Arrow group_by — the string-key hash
+    aggregate was the measured hot spot at ~0.5 s per 8 k-doc batch;
+    the int64-key sort is ~10x cheaper).
 
     ``doc_len`` rides along on every posting row so scoring needs no
-    doc-table join at query time (impact-style layout).
+    doc-table join at query time (impact-style layout). ``term`` is
+    always ``pa.string()`` whatever the input text type (FIXTURES.md
+    §3), so sources built from string and large_string text merge.
     """
 
     __slots__ = (
@@ -146,7 +151,7 @@ class _SpimiBatch:
             return
         # unique terms once per batch (vocabulary-bounded Python hash)
         denc = pc.dictionary_encode(flat)
-        self.dictionary = denc.dictionary
+        self.dictionary = denc.dictionary.cast(pa.string())
         self.uniq_hashes = hash64_array(self.dictionary)
         tidx = denc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         par = parent.to_numpy(zero_copy_only=False).astype(np.int64)
@@ -189,23 +194,6 @@ class _SpimiBatch:
             }
         )
 
-    def dictionary_partial(self) -> pa.Table:
-        """One row per unique term of the batch with partial df
-        (posting count) and cf (sum of tf)."""
-        n_uniq = len(self.dictionary)
-        df = np.bincount(self.term_idx, minlength=n_uniq).astype(np.int64)
-        cf = np.bincount(
-            self.term_idx, weights=self.tf, minlength=n_uniq
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "term": self.dictionary,
-                "term_id": pa.array(self.uniq_hashes, pa.int64()),
-                "df_part": pa.array(df, pa.int64()),
-                "cf_part": pa.array(cf, pa.int64()),
-            }
-        )
-
 
 def spimi_postings_batch(
     batch: pa.Table, analyzer=DEFAULT_ANALYZER
@@ -244,54 +232,6 @@ def bm25_score(
     return bm25_idf(df, n_docs) * bm25_norm(tf, doc_len, avgdl, k1, b)
 
 
-def make_salter(
-    head_ref: "ray.ObjectRef | None",
-    n_buckets: int,
-    bounds: "np.ndarray | None" = None,
-):
-    """Returns a map_batches fn adding a ``salt`` column
-    (salted_groupby strategy).
-
-    Head terms (term_id in the broadcast set) are salted into ordered
-    disjoint doc_id ranges — ``bounds`` (data-derived quantile edges,
-    same contract as chunk_bounds) when given, else the legacy top
-    log2(n_buckets) bits of sign-flipped doc_id (which degenerate for
-    sequential ids: every doc salts identically and head terms don't
-    split); tail terms get salt 0. ``head_ref`` is a ray.put ObjectRef
-    (broadcast once, fetched once per worker process).
-    """
-    shift = np.uint64(64 - int(math.log2(n_buckets)))
-
-    def add_salt(batch: pa.Table) -> pa.Table:
-        if head_ref is None:
-            salt = np.zeros(len(batch), dtype=np.int32)
-        else:
-            head_ids = _get_broadcast(head_ref)
-            tid = batch["term_id"].to_numpy(zero_copy_only=False)
-            did = batch["doc_id"].to_numpy(zero_copy_only=False)
-            if bounds is not None:
-                bucket = chunk_of_ids(did, bounds).astype(np.int32)
-            else:
-                bucket = (
-                    (did.view(np.uint64) ^ _SIGN_FLIP) >> shift
-                ).astype(np.int32)
-            salt = np.where(np.isin(tid, head_ids), bucket, 0).astype(np.int32)
-        return batch.append_column("salt", pa.array(salt, pa.int32()))
-
-    return add_salt
-
-
-_BROADCAST_CACHE: dict = {}
-
-
-def _get_broadcast(ref):
-    """Fetch a broadcast ObjectRef once per worker process."""
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    if key not in _BROADCAST_CACHE:
-        _BROADCAST_CACHE[key] = ray.get(ref)
-    return _BROADCAST_CACHE[key]
-
-
 _EMPTY_SEGMENT_TABLE = pa.table(
     {
         "term": pa.array([], pa.string()),
@@ -317,7 +257,6 @@ def _encode_sorted_runs(
     did_s: np.ndarray,
     tf_s: np.ndarray,
     dl_s: np.ndarray,
-    salt: int,
     avgdl: float,
     k1: float,
     b: float,
@@ -330,10 +269,10 @@ def _encode_sorted_runs(
     repeat/cumsum arithmetic, then ONE varint encode per column over
     the whole sorted slab is sliced into per-block buffers — no
     per-run numpy work, no per-run table concat (the per-run encode
-    loop was ~40% of segment-task time at 1.5 k runs/bucket)."""
+    loop was ~40% of segment-task time at 1.5 k runs/bucket). The
+    ``salt`` column is always 0; it stays in the layout for indexes
+    written by the retired salted strategy."""
     n = len(did_s)
-    if n == 0:
-        return _EMPTY_SEGMENT_TABLE
     norms = bm25_norm(tf_s, dl_s, avgdl, k1, b)
     run_lens = run_ends - run_starts
     nb_per_run = (run_lens + bs - 1) // bs
@@ -388,7 +327,7 @@ def _encode_sorted_runs(
         {
             "term": term_col,
             "term_id": pa.array(tid_s[starts], pa.int64()),
-            "salt": pa.array(np.full(total_blocks, salt, np.int32)),
+            "salt": pa.array(np.zeros(total_blocks, np.int32)),
             "block_id": pa.array(within.astype(np.int32)),
             "first_doc_id": pa.array(did_s[starts], pa.int64()),
             "last_doc_id": pa.array(did_s[ends - 1], pa.int64()),
@@ -401,88 +340,73 @@ def _encode_sorted_runs(
     )
 
 
-def _encode_run(
-    term: str,
-    term_id: int,
-    salt: int,
-    doc_id: np.ndarray,
-    tf: np.ndarray,
-    dl: np.ndarray,
+def encode_postings(
+    t: pa.Table,
     avgdl: float,
     k1: float,
     b: float,
     bs: int,
-    codec: str = "varint",
+    codec: str,
+    rows: "np.ndarray | None" = None,
 ) -> pa.Table:
-    """Encode one doc_id-sorted posting run (single-run wrapper around
-    the vectorized multi-run encoder; used by the salted_groupby
-    strategy where each map_groups group IS one run)."""
-    n = len(doc_id)
+    """Block rows for posting rows (term, term_id, doc_id, tf, doc_len)
+    in any order: one (term_id, doc_id) lexsort, one run per term, one
+    ``_encode_sorted_runs`` pass. ``rows`` restricts the encode to
+    those row numbers of ``t`` (a doc chunk) without copying it. The
+    segment encode of both ``build_index`` and
+    ``maintenance.merge_sources``."""
+    tid, did, tf, dl = (
+        t[c].to_numpy(zero_copy_only=False)
+        for c in ("term_id", "doc_id", "tf", "doc_len")
+    )
+    if rows is not None:
+        tid, did, tf, dl = tid[rows], did[rows], tf[rows], dl[rows]
+    if len(tid) == 0:
+        return _EMPTY_SEGMENT_TABLE
+    order = np.lexsort((did, tid))
+    tid_s, did_s = tid[order], did[order]
+    change = np.nonzero(np.diff(tid_s))[0] + 1
+    run_starts = np.concatenate(([0], change))
+    run_ends = np.concatenate((change, [len(tid_s)]))
+    # the permutation is applied to numpy columns only; the one term
+    # string per run is taken from the (possibly chunked) term column
+    # (an Arrow Table.take re-copies the string column — measured ~1 s
+    # per 6 M rows)
+    first_rows = order[run_starts] if rows is None else rows[order[run_starts]]
+    terms_per_run = pc.take(t["term"], pa.array(first_rows)).combine_chunks()
     return _encode_sorted_runs(
-        pa.array([term], pa.string()),
-        np.array([0], dtype=np.int64),
-        np.array([n], dtype=np.int64),
-        np.full(n, term_id, np.int64),
-        doc_id, tf, dl, salt, avgdl, k1, b, bs, codec,
+        terms_per_run, run_starts, run_ends,
+        tid_s, did_s, tf[order], dl[order], avgdl, k1, b, bs, codec,
     )
 
 
-def make_term_group_encoder(avgdl: float, cfg: IndexConfig):
-    """map_groups fn for the salted_groupby strategy: encode one
-    (term_id, salt) group into block rows."""
-    k1, b, bs = cfg.bm25.k1, cfg.bm25.b, cfg.block_size
-    codec = cfg.codec
-
-    def encode(group: pa.Table) -> pa.Table:
-        if len(group) == 0:
-            return _EMPTY_SEGMENT_TABLE
-        doc_id = group["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(doc_id, kind="stable")
-        doc_id = doc_id[order]
-        tf = group["tf"].to_numpy(zero_copy_only=False)[order]
-        dl = group["doc_len"].to_numpy(zero_copy_only=False)[order]
-        term = group["term"][0].as_py()
-        term_id = group["term_id"][0].as_py()
-        salt = group["salt"][0].as_py() if "salt" in group.column_names else 0
-        return _encode_run(
-            term, term_id, salt, doc_id, tf, dl, avgdl, k1, b, bs, codec
-        )
-
-    return encode
+def bucket_dictionary(t: pa.Table) -> pa.Table:
+    """(term, term_id, df, cf) for one term bucket's posting rows. A
+    posting row is one (term, doc) pair, so df = rows per term and
+    cf = sum of tf. The dictionary aggregate of both ``build_index``
+    and ``maintenance.merge_sources``."""
+    agg = t.group_by(["term", "term_id"]).aggregate(
+        [("term", "count"), ("tf", "sum")]
+    )
+    return pa.table(
+        {
+            "term": agg["term"],
+            "term_id": agg["term_id"],
+            "df": agg["term_count"].cast(pa.int64()),
+            "cf": agg["tf_sum"].cast(pa.int64()),
+        }
+    )
 
 
-def make_sorted_batch_encoder(avgdl: float, cfg: IndexConfig):
-    """Encoder for the "sort" segment strategy: batches arrive sorted by
-    (term_id, doc_id); each batch splits into term runs and encodes
-    each run independently.
-
-    A term whose postings span several batches (or range partitions)
-    yields several disjoint, ordered run encodings — the segment format
-    and the query loader merge them by first_doc_id, so no post-merge
-    is needed.
-    """
-    k1, b_, bs = cfg.bm25.k1, cfg.bm25.b, cfg.block_size
-    codec = cfg.codec
-
-    def encode_batch(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return _EMPTY_SEGMENT_TABLE
-        tids = batch["term_id"].to_numpy(zero_copy_only=False)
-        doc_id = batch["doc_id"].to_numpy(zero_copy_only=False)
-        tf = batch["tf"].to_numpy(zero_copy_only=False)
-        dl = batch["doc_len"].to_numpy(zero_copy_only=False)
-        change = np.nonzero(np.diff(tids))[0] + 1
-        run_starts = np.concatenate(([0], change))
-        run_ends = np.concatenate((change, [len(tids)]))
-        terms_per_run = pc.take(
-            batch["term"].combine_chunks(), pa.array(run_starts, pa.int64())
-        )
-        return _encode_sorted_runs(
-            terms_per_run, run_starts, run_ends,
-            tids, doc_id, tf, dl, 0, avgdl, k1, b_, bs, codec,
-        )
-
-    return encode_batch
+def string_terms(t: pa.Table) -> pa.Table:
+    """``t`` with its ``term`` column as ``pa.string()``. Sources
+    written before SPIMI fixed the term type carry the input's text
+    type (large_string from some writers), and Arrow will not concat
+    the two."""
+    i = t.schema.get_field_index("term")
+    if i < 0 or t.schema.field(i).type == pa.string():
+        return t
+    return t.set_column(i, "term", t.column(i).cast(pa.string()))
 
 
 def _present_buckets(post_root: str) -> list[int]:
@@ -666,32 +590,25 @@ def compute_chunk_bounds(doc_table_dir: str, n_chunks: int) -> list[int]:
 
 def make_spimi_with_sides(
     doc_dir: str,
-    dict_dir: str,
-    n_buckets: int | None = None,
-    post_dir: str | None = None,
+    post_dir: str,
+    n_buckets: int,
     analyzer=DEFAULT_ANALYZER,
     doc_chunks: int = 1,
 ):
-    """SPIMI batch fn that emits the doc table, dictionary partials and
-    (bucket strategy) the term-bucketed postings as idempotent side
-    outputs — one pass over the corpus feeds all three
-    downstream artifacts, instead of three full postings re-reads.
+    """SPIMI batch fn that writes the doc table and the term-bucketed
+    postings as idempotent side outputs — one pass over the corpus
+    feeds both downstream artifacts.
 
     Each input row is one doc, so per-batch (doc_id, doc_len) rows are
-    globally exact with no dedup shuffle; dictionary partials shrink
-    the dictionary groupby input from |postings| to |batches|x|vocab|.
-
-    With ``n_buckets``/``post_dir`` set (the "bucket" strategy)
-    postings land hive-partitioned by ``hash(term_id) % n_buckets`` —
-    the partitioned side write IS the index shuffle (map-side
-    partitioning, merged by the per-bucket segment tasks) — and the
-    Dataset output degrades to per-batch row counts (the pipeline is
-    consumed with a sum). Other strategies return the posting rows for
-    a normal write_parquet.
+    globally exact with no dedup shuffle. Postings land
+    hive-partitioned by ``hash(term_id) % n_buckets``: the partitioned
+    side write IS the index shuffle (map-side partitioning, merged by
+    the per-bucket dictionary and segment tasks). The Dataset output is
+    one per-batch row count (the pipeline is consumed with a sum).
     """
 
     def fn(batch: pa.Table) -> pa.Table:
-        pa.set_cpu_count(1)  # see encode_bucket: avoid Arrow pool thrash
+        pa.set_cpu_count(1)  # see encode_bucket_chunk: Arrow pool thrash
         # duplicate doc_ids would encode a 0 doc_id gap that only fails
         # later as an opaque decode assert — fail clearly at build time
         ids_in = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -703,29 +620,18 @@ def make_spimi_with_sides(
             )
         sb = _SpimiBatch(batch, analyzer)
         if len(sb.term_idx) == 0:
-            return (
-                sb.postings_table()
-                if n_buckets is None
-                else pa.table({"rows": pa.array([0], pa.int64())})
-            )
+            return pa.table({"rows": pa.array([0], pa.int64())})
         doc_tbl = sb.doc_table()
         min_id = int(doc_tbl["doc_id"].to_numpy().min())
         key = f"{min_id & 0xFFFFFFFFFFFFFFFF:016x}"
         _atomic_side_write(doc_tbl, doc_dir, key)
-        if n_buckets is None:
-            # non-bucket strategies: dictionary partials shrink the
-            # dictionary groupby input from |postings| to
-            # |batches| x |vocab|
-            _atomic_side_write(sb.dictionary_partial(), dict_dir, key)
-            return sb.postings_table()
-        # bucket strategy: the map task writes its postings split by
-        # term bucket DIRECTLY (hive layout), so the stage is one fully
-        # streaming pass — no repartition barrier, no second write pass.
-        # Bucket assignment is computed per UNIQUE term and scattered;
-        # the permutation is applied to numpy columns + dictionary
-        # indices before the string take (Table.take on a string column
-        # was measured ~1 s per 6 M rows).
-        assert post_dir is not None
+        # the map task writes its postings split by term bucket
+        # DIRECTLY (hive layout), so the stage is one fully streaming
+        # pass — no repartition barrier, no second write pass. Bucket
+        # assignment is computed per UNIQUE term and scattered; the
+        # permutation is applied to numpy columns + dictionary indices
+        # before the string take (Table.take on a string column was
+        # measured ~1 s per 6 M rows).
         bucket_of_uniq = (
             sb.uniq_hashes.view(np.uint64) % np.uint64(n_buckets)
         ).astype(np.int32)
@@ -790,8 +696,6 @@ def build_index(
     postings stage always re-runs (unknown provenance) but downstream
     stages still resume off its content fingerprint.
     """
-    import concurrent.futures
-
     import pyarrow.parquet as pq
 
     from harvester_ray.state.lineage import dir_fingerprint, run_stage
@@ -801,25 +705,19 @@ def build_index(
     if n_docs is None:
         n_docs = docs.count()
 
-    bucketed = cfg.segment_strategy == "bucket"
-
-    # Stage 1 (one pass over the corpus): SPIMI postings checkpoint
-    # + doc table + dictionary partials as idempotent side outputs.
-    # Bucket strategy: postings land hive-partitioned by term bucket —
-    # the partitioned write IS the index shuffle.
+    # Stage 1 (one pass over the corpus): SPIMI writes the doc table
+    # and the postings hive-partitioned by term bucket as idempotent
+    # side outputs — the partitioned write IS the index shuffle.
     def write_spimi(tmp: str) -> None:
         post_dir = os.path.join(tmp, "postings")
         doc_dir = os.path.join(tmp, "doc_table")
-        dict_dir = os.path.join(tmp, "dict_partials")
+        os.makedirs(post_dir, exist_ok=True)
         os.makedirs(doc_dir, exist_ok=True)
-        if not bucketed:
-            os.makedirs(dict_dir, exist_ok=True)
-        ds = docs.map_batches(
+        docs.map_batches(
             make_spimi_with_sides(
                 doc_dir,
-                dict_dir,
-                cfg.num_term_buckets if bucketed else None,
-                post_dir if bucketed else None,
+                post_dir,
+                cfg.num_term_buckets,
                 # resolved on the DRIVER and shipped by cloudpickle, so
                 # custom analyzers need no worker-side registration for
                 # the build (query actors resolve by name from stats)
@@ -827,19 +725,11 @@ def build_index(
                 doc_chunks=max(1, cfg.segment_doc_chunks),
             ),
             batch_format="pyarrow",
-            # bucket strategy: large batches — the side writes (one
-            # file per bucket per batch) are the per-batch fixed cost,
-            # so fewer, larger batches win
-            batch_size=cfg.spimi_batch_size if bucketed else cfg.tokenize_batch_size,
+            # large batches: the side writes (one file per bucket per
+            # batch) are the per-batch fixed cost
+            batch_size=cfg.spimi_batch_size,
             zero_copy_batch=True,
-        )
-        if bucketed:
-            # postings were side-written per bucket inside the map
-            # tasks; consume the count rows to drive the streaming pass
-            os.makedirs(post_dir, exist_ok=True)
-            ds.sum("rows")
-        else:
-            ds.write_parquet(post_dir)
+        ).sum("rows")  # consume the count rows to drive the pass
 
     run_stage(
         "spimi",
@@ -888,188 +778,87 @@ def build_index(
     avgdl = (total_tokens / n_docs) if n_docs else 0.0
 
     # doc-chunk boundaries: caller-supplied (delta sources align to
-    # their base) or derived from this corpus's actual doc_ids. Only
-    # the bucket strategy consumes them (chunked segment files +
-    # sharded serving); other strategies skip the derivation scan.
-    n_chunks_cfg = max(1, cfg.segment_doc_chunks)
-    if n_chunks_cfg > 1 and not bucketed:
-        n_chunks_cfg = 1
-    if n_chunks_cfg > 1:
+    # their base) or derived from this corpus's actual doc_ids
+    n_chunks = max(1, cfg.segment_doc_chunks)
+    if n_chunks > 1:
         bounds_arr = np.asarray(
             chunk_bounds
             if chunk_bounds is not None
-            else compute_chunk_bounds(paths.doc_table, n_chunks_cfg),
+            else compute_chunk_bounds(paths.doc_table, n_chunks),
             dtype=np.int64,
         )
-        if len(bounds_arr) != n_chunks_cfg - 1:
+        if len(bounds_arr) != n_chunks - 1:
             raise ValueError(
-                f"chunk_bounds must have {n_chunks_cfg - 1} edges, "
+                f"chunk_bounds must have {n_chunks - 1} edges, "
                 f"got {len(bounds_arr)}"
             )
     else:
         bounds_arr = None
 
-    # Stage 2a: dictionary. Bucket strategy: one independent task per
-    # term bucket aggregates df/cf straight off that bucket's hive
-    # partition (postings rows ARE (term, doc) pairs: df = rows per
-    # term, cf = sum tf) — parallel, co-partitioned with the segments,
-    # no driver-side merge. Other strategies: merge of the pre-combined
-    # per-batch dictionary partials (|batches| x |vocab| rows), driver
-    # Arrow group_by under the size guard, Ray groupby beyond.
     post_root = paths.postings
+    k1, b_, bs, codec = cfg.bm25.k1, cfg.bm25.b, cfg.block_size, cfg.codec
 
-    def write_dictionary_bucketed(tmp: str) -> None:
+    # Raw Ray tasks (not a Dataset op) on purpose: the fan-out unit is
+    # a CONTROL row (bucket id), and Ray Data bundles tiny control
+    # blocks into one task, serializing the whole stage. Each task
+    # reads its bucket's hive partition and writes its own part
+    # atomically. Only buckets that exist on disk launch: a small
+    # corpus fills a fraction of the hash buckets and the per-task
+    # fixed cost (~20 ms) dominates empty launches.
+
+    # Stage 2a: dictionary — one task per term bucket aggregates df/cf
+    # straight off that bucket's postings; co-partitioned with the
+    # segments, so nothing is merged centrally.
+    def write_dictionary(tmp: str) -> None:
         @ray.remote(num_cpus=1)
         def dict_bucket(bk: int) -> int:
             pa.set_cpu_count(1)
-            d = os.path.join(post_root, f"bucket={bk}")
-            if not os.path.isdir(d):
-                return 0
             t = pq.read_table(
-                d, columns=["term", "term_id", "tf"], use_threads=False
+                os.path.join(post_root, f"bucket={bk}"),
+                columns=["term", "term_id", "tf"],
+                use_threads=False,
             )
             if len(t) == 0:
                 return 0
-            agg = t.group_by(["term", "term_id"]).aggregate(
-                [("term", "count"), ("tf", "sum")]
-            )
-            out = pa.table(
-                {
-                    "term": agg["term"],
-                    "term_id": agg["term_id"],
-                    "df": agg["term_count"].cast(pa.int64()),
-                    "cf": agg["tf_sum"].cast(pa.int64()),
-                }
-            )
+            out = bucket_dictionary(t)
             _atomic_side_write(out, tmp, f"bucket{bk:05d}")
             return len(out)
 
         os.makedirs(tmp, exist_ok=True)
-        # launch only buckets that exist on disk: a small corpus fills
-        # a fraction of the 128 hash buckets and the per-task fixed
-        # cost (~20 ms) dominates empty launches; at scale all exist
         ray.get([dict_bucket.remote(b) for b in _present_buckets(post_root)])
 
-    def write_dictionary(tmp: str) -> None:
-        if bucketed:
-            return write_dictionary_bucketed(tmp)
-        size = sum(
-            os.path.getsize(os.path.join(paths.dict_partials, f))
-            for f in os.listdir(paths.dict_partials)
-        )
-        if size <= _DRIVER_MERGE_BYTES:
-            parts = pq.read_table(paths.dict_partials)
-            agg = parts.group_by(["term", "term_id"]).aggregate(
-                [("df_part", "sum"), ("cf_part", "sum")]
-            )
-            final = pa.table(
-                {
-                    "term": agg["term"],
-                    "term_id": agg["term_id"],
-                    "df": agg["df_part_sum"].cast(pa.int64()),
-                    "cf": agg["cf_part_sum"].cast(pa.int64()),
-                }
-            )
-            os.makedirs(tmp, exist_ok=True)
-            pq.write_table(final, os.path.join(tmp, "dictionary.parquet"))
-        else:
-            (
-                ray.data.read_parquet(paths.dict_partials)
-                .groupby(["term", "term_id"])
-                .aggregate(
-                    Sum("df_part", alias_name="df"), Sum("cf_part", alias_name="cf")
-                )
-                .write_parquet(tmp)
-            )
-
-    # Stage 2b: segments — THE wide shuffle. Needs no dictionary
-    # (block max stores the idf-free norm), so it runs concurrently.
-    def write_segments_sort(tmp: str) -> None:
-        (
-            ray.data.read_parquet(paths.postings)
-            .sort(["term_id", "doc_id"])
-            .map_batches(
-                make_sorted_batch_encoder(avgdl, cfg),
-                batch_format="pyarrow",
-                batch_size=None,  # whole sorted blocks
-                zero_copy_batch=True,
-            )
-            .write_parquet(tmp)
-        )
-
-    def write_segments_bucket(tmp: str) -> None:
-        """Default strategy: one independent task per (term bucket,
-        doc_id-range chunk) — read the bucket's hive partition, keep
-        the chunk's doc range, lexsort by (term_id, doc_id), run-split
-        encode. No Ray sort/groupby machinery; deterministic block
-        layout (the lexsort key is a total order, chunk ranges are
-        fixed contiguous doc_id ranges under the persisted bounds).
-
-        The chunk fan-out keeps parallelism = buckets x chunks even
-        when the vocabulary is tiny or one term is enormous (per-term
-        runs from different chunks are disjoint ordered doc ranges and
-        merge at query load). Memory per task is bounded by the chunk,
-        not the bucket."""
-        post_root = paths.postings
-        n_chunks = n_chunks_cfg
-        k1, b_, bs = cfg.bm25.k1, cfg.bm25.b, cfg.block_size
-        codec = cfg.codec
-
-        # Raw Ray tasks (not a Dataset op) on purpose: the fan-out unit
-        # is a CONTROL row (bucket id), and Ray Data bundles tiny
-        # control blocks into one task, serializing the whole stage.
-        # Each task reads its bucket partition and writes its own
-        # segment part atomically. The permutation is applied to numpy
-        # columns only (an Arrow Table.take would re-copy the term
-        # string column per row — measured ~1 s per 6M rows); the one
-        # term string per run is looked up individually.
+    # Stage 2b: segments — one task per (term bucket, doc chunk): read
+    # the chunk's doc range of the bucket, encode_postings. Needs no
+    # dictionary (block max stores the idf-free norm). The block layout
+    # is deterministic: the lexsort key is a total order and chunks are
+    # fixed contiguous doc_id ranges under the persisted bounds. The
+    # chunk fan-out keeps parallelism = buckets x chunks even when one
+    # term is enormous (per-term runs from different chunks are
+    # disjoint ordered doc ranges and merge at query load); memory per
+    # task is bounded by the chunk, not the bucket.
+    def write_segments(tmp: str) -> None:
         @ray.remote(num_cpus=1)
-        def encode_bucket_chunk(b: int, chunk: int) -> int:
+        def encode_bucket_chunk(bk: int, chunk: int) -> int:
             # cap THIS worker's Arrow pool: concurrent tasks otherwise
             # spin up hardware_concurrency threads each and thrash
             pa.set_cpu_count(1)
-            d = os.path.join(post_root, f"bucket={b}")
-            if not os.path.isdir(d):
-                return 0
+            filters = None
             if bounds_arr is not None:
-                # chunk membership is a contiguous signed doc_id range
-                # (see _chunk_signed_range); the SPIMI side-writes are
-                # doc_id-sorted with sized row groups, so this filter
-                # PRUNES the read by row-group statistics — each chunk
-                # task reads ~1/chunks of the bucket, not all of it
+                # the SPIMI side-writes are doc_id-sorted with sized row
+                # groups, so this range filter PRUNES the read by
+                # row-group statistics to ~1/chunks of the bucket
                 lo, hi = _chunk_signed_range(chunk, bounds_arr)
-                t = pq.read_table(
-                    d,
-                    columns=["term", "term_id", "doc_id", "tf", "doc_len"],
-                    use_threads=False,  # the task owns 1 CPU
-                    filters=[("doc_id", ">=", lo), ("doc_id", "<=", hi)],
-                )
-            else:
-                t = pq.read_table(
-                    d,
-                    columns=["term", "term_id", "doc_id", "tf", "doc_len"],
-                    use_threads=False,
-                )
+                filters = [("doc_id", ">=", lo), ("doc_id", "<=", hi)]
+            t = pq.read_table(
+                os.path.join(post_root, f"bucket={bk}"),
+                columns=["term", "term_id", "doc_id", "tf", "doc_len"],
+                use_threads=False,  # the task owns 1 CPU
+                filters=filters,
+            )
             if len(t) == 0:
                 return 0
-            tid = t["term_id"].to_numpy(zero_copy_only=False)
-            did = t["doc_id"].to_numpy(zero_copy_only=False)
-            tf = t["tf"].to_numpy(zero_copy_only=False)
-            dl = t["doc_len"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((did, tid))
-            tid_s, did_s = tid[order], did[order]
-            tf_s, dl_s = tf[order], dl[order]
-            change = np.nonzero(np.diff(tid_s))[0] + 1
-            run_starts = np.concatenate(([0], change))
-            run_ends = np.concatenate((change, [len(tid_s)]))
-            terms_per_run = pc.take(
-                t["term"].combine_chunks(), pa.array(order[run_starts])
-            )
-            seg = _encode_sorted_runs(
-                terms_per_run, run_starts, run_ends,
-                tid_s, did_s, tf_s, dl_s, 0, avgdl, k1, b_, bs, codec,
-            )
-            _atomic_side_write(seg, tmp, f"bucket{b:05d}c{chunk:02d}")
+            seg = encode_postings(t, avgdl, k1, b_, bs, codec)
+            _atomic_side_write(seg, tmp, f"bucket{bk:05d}c{chunk:02d}")
             return len(seg)
 
         os.makedirs(tmp, exist_ok=True)
@@ -1081,60 +870,21 @@ def build_index(
             ]
         )
 
-    def write_segments_salted(tmp: str) -> None:
-        # head terms (df >= threshold) need the dictionary — this path
-        # therefore waits for it (strategy tradeoff documented in
-        # IndexConfig); the salter broadcast is a ray.put done once.
-        d = pq.read_table(paths.dictionary, columns=["term_id", "df"])
-        head_mask = d["df"].to_numpy() >= cfg.salt_df_threshold
-        head_ref = (
-            ray.put(d["term_id"].to_numpy()[head_mask]) if head_mask.any() else None
-        )
-        # data-derived salt ranges so head terms split for ANY id
-        # distribution (sequential ids degenerate under top-bit salt)
-        salt_bounds = (
-            np.asarray(
-                compute_chunk_bounds(paths.doc_table, cfg.salt_buckets),
-                dtype=np.int64,
-            )
-            if head_ref is not None
-            else None
-        )
-        salted = ray.data.read_parquet(paths.postings).map_batches(
-            make_salter(head_ref, cfg.salt_buckets, salt_bounds),
-            batch_format="pyarrow",
-        )
-        (
-            salted.groupby(["term_id", "salt"])
-            .map_groups(
-                make_term_group_encoder(avgdl, cfg),
-                batch_format="pyarrow",
-            )
-            .write_parquet(tmp)
-        )
-
     bounds_tag = (
         hashlib.md5(bounds_arr.tobytes()).hexdigest()[:12]
         if bounds_arr is not None
         else "none"
     )
     seg_params = (
-        f"strategy={cfg.segment_strategy},bs={cfg.block_size},"
-        f"thr={cfg.salt_df_threshold},buckets={cfg.salt_buckets},"
+        f"strategy=bucket,bs={cfg.block_size},"
         f"tbuckets={cfg.num_term_buckets},chunks={cfg.segment_doc_chunks},"
         f"bounds={bounds_tag},codec={cfg.codec},"
         f"k1={cfg.bm25.k1},b={cfg.bm25.b},avgdl={avgdl!r}"
     )
 
-    # Sequential staging: the dictionary merge is driver-cheap at
-    # combiner scale, and concurrent Dataset executions were measured
-    # to contend destructively with the segment stage.
+    # Sequential staging: concurrent stage executions were measured to
+    # contend destructively.
     run_stage("dictionary", paths.dictionary, postings_fp, write_dictionary)
-    write_segments = {
-        "bucket": write_segments_bucket,
-        "sort": write_segments_sort,
-        "salted_groupby": write_segments_salted,
-    }[cfg.segment_strategy]
     run_stage(
         "segments", paths.segments, postings_fp, write_segments, seg_params
     )
@@ -1160,7 +910,9 @@ def build_index(
                 "b": cfg.bm25.b,
                 "block_size": cfg.block_size,
                 "analyzer": cfg.analyzer_name,
-                "segment_strategy": cfg.segment_strategy,
+                # always "bucket"; other values mark indexes written by
+                # retired strategies (read-only, single-process)
+                "segment_strategy": "bucket",
                 "segment_doc_chunks": cfg.segment_doc_chunks,
                 # data-derived doc-chunk edges (see compute_chunk_bounds);
                 # absent on chunks=1 and on pre-round-5 indexes (legacy
@@ -1174,9 +926,7 @@ def build_index(
                 # segment files by chunk suffix, term shards by bucket
                 # prefix (index/serving.py routes a query term to row
                 # (hash(term_id) % num_term_buckets) % n_term_shards)
-                "num_term_buckets": (
-                    cfg.num_term_buckets if bucketed else None
-                ),
+                "num_term_buckets": cfg.num_term_buckets,
                 "codec": cfg.codec,
                 "engine_version": ENGINE_VERSION,
             },

@@ -320,12 +320,14 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
     remapping across sources; bucket layout is a function of term_id
     and is identical across sources built with one config). Per term
     bucket: read every source's partition, drop that source's scoped
-    tombstoned docs, concatenate, lexsort (term_id, doc_id), re-encode
-    segments at the MERGED avgdl — embarrassingly parallel over
-    buckets x doc chunks, no shuffle (the bucket co-partitioning IS the
-    partitioning assumption; documented per module docstring). The
+    tombstoned docs, concatenate, then run the build's own per-bucket
+    functions — ``build.bucket_dictionary`` and, per doc chunk,
+    ``build.encode_postings`` at the MERGED avgdl. Embarrassingly
+    parallel over buckets, no shuffle (the bucket co-partitioning IS
+    the partitioning assumption; documented per module docstring). The
     merged index retains its own postings buckets, so it stays
-    re-mergeable.
+    re-mergeable. A source from a retired (non-bucket) strategy has no
+    postings buckets and is rejected before ``out_dir`` is touched.
 
     Global stats (N, avgdl, df) are recomputed from surviving docs —
     the post-compaction rescoring semantics (scores legitimately shift
@@ -340,11 +342,24 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
     from harvester_ray.index.build import (
         ENGINE_VERSION,
         _atomic_side_write,
-        _encode_sorted_runs,
+        bucket_dictionary,
+        chunk_of_ids,
+        encode_postings,
+        legacy_chunk_bounds,
+        string_terms,
     )
 
     srcs = source_dirs(index_dir)
     stats = [_source_stats(s) for s in srcs]
+    for src, st in zip(srcs, stats):
+        # a retired strategy's postings have no bucket= dirs: merging
+        # would write an empty index over the live one
+        if st.get("segment_strategy") != "bucket":
+            raise ValueError(
+                f"merge_sources: source {src} was built with segment "
+                f"strategy {st.get('segment_strategy')!r}; only bucket "
+                "sources can be merged — rebuild with build_index"
+            )
     for key in ("block_size", "codec", "k1", "b", "analyzer",
                 "segment_doc_chunks"):
         vals = {s[key] for s in stats}
@@ -408,10 +423,12 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
             d = os.path.join(root, f"bucket={b}")
             if not os.path.isdir(d):
                 continue
-            t = pq.read_table(
-                d,
-                columns=["term", "term_id", "doc_id", "tf", "doc_len"],
-                use_threads=False,
+            t = string_terms(
+                pq.read_table(
+                    d,
+                    columns=["term", "term_id", "doc_id", "tf", "doc_len"],
+                    use_threads=False,
+                )
             )
             dd = ray.get(dead_refs[i])
             if len(dd):
@@ -427,8 +444,6 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
 
     # segment params come from the sources' own stats (asserted equal
     # above), NOT the cfg arg — the merge must reproduce their layout
-    from harvester_ray.index.build import chunk_of_ids, legacy_chunk_bounds
-
     n_chunks = max(1, int(stats[0]["segment_doc_chunks"]))
     chunk_bounds = (
         np.asarray(
@@ -449,16 +464,11 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
     # full bucket reads/filters per bucket)
     @ray.remote(num_cpus=1)
     def merge_bucket(b: int) -> int:
-        import pyarrow.compute as pc
-
         pa.set_cpu_count(1)
         t = read_bucket_filtered(b)
         if t is None:
             return 0
-        tid = t["term_id"].to_numpy(zero_copy_only=False)
         did = t["doc_id"].to_numpy(zero_copy_only=False)
-        tf = t["tf"].to_numpy(zero_copy_only=False)
-        dl = t["doc_len"].to_numpy(zero_copy_only=False)
         # merged postings land doc_id-sorted with sized row groups, so
         # a future re-merge/rebuild gets the same pruned chunk reads as
         # fresh SPIMI output (build.make_spimi_with_sides)
@@ -471,46 +481,21 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
         _atomic_side_write(
             t.take(pa.array(did_order)), bdir, "merged", row_group_size=rgs
         )
-        agg = t.group_by(["term", "term_id"]).aggregate(
-            [("term", "count"), ("tf", "sum")]
+        _atomic_side_write(
+            bucket_dictionary(t), out.dictionary, f"bucket{b:05d}"
         )
-        dic = pa.table(
-            {
-                "term": agg["term"],
-                "term_id": agg["term_id"],
-                "df": agg["term_count"].cast(pa.int64()),
-                "cf": agg["tf_sum"].cast(pa.int64()),
-            }
-        )
-        _atomic_side_write(dic, out.dictionary, f"bucket{b:05d}")
-        # one global (term_id, doc_id) lexsort; each chunk is a mask of
-        # the sorted arrays (masking preserves order), encoded and
-        # written under the same deterministic name as a fresh build
-        order = np.lexsort((did, tid))
-        tid_s, did_s = tid[order], did[order]
-        tf_s, dl_s = tf[order], dl[order]
+        # each chunk is encoded and written under the same
+        # deterministic name as a fresh build
         chunk_of = (
-            chunk_of_ids(did_s, chunk_bounds)
+            chunk_of_ids(did, chunk_bounds)
             if chunk_bounds is not None
-            else np.zeros(len(did_s), np.int64)
+            else np.zeros(len(did), np.int64)
         )
-        term_col = t["term"].combine_chunks()
         for chunk in range(n_chunks):
             sel = np.nonzero(chunk_of == chunk)[0]
             if len(sel) == 0:
                 continue
-            tid_c, did_c = tid_s[sel], did_s[sel]
-            tf_c, dl_c = tf_s[sel], dl_s[sel]
-            change = np.nonzero(np.diff(tid_c))[0] + 1
-            run_starts = np.concatenate(([0], change))
-            run_ends = np.concatenate((change, [len(tid_c)]))
-            terms_per_run = pc.take(
-                term_col, pa.array(order[sel[run_starts]])
-            )
-            seg = _encode_sorted_runs(
-                terms_per_run, run_starts, run_ends,
-                tid_c, did_c, tf_c, dl_c, 0, avgdl, k1, b_, bs, codec,
-            )
+            seg = encode_postings(t, avgdl, k1, b_, bs, codec, rows=sel)
             _atomic_side_write(seg, out.segments, f"bucket{b:05d}c{chunk:02d}")
         return len(t)
 
@@ -533,7 +518,7 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
                 "b": base["b"],
                 "block_size": base["block_size"],
                 "analyzer": base["analyzer"],
-                "segment_strategy": base["segment_strategy"],
+                "segment_strategy": "bucket",
                 "segment_doc_chunks": base["segment_doc_chunks"],
                 # the merged index reproduces the sources' chunk edges
                 "chunk_bounds": (

@@ -46,7 +46,7 @@ _BLOCK_DECODERS = {
     "pfor": pfor_decode,
 }
 from harvester_ray.functions.text import get_analyzer, tokenize
-from harvester_ray.index.build import bm25_score
+from harvester_ray.index.build import bm25_score, string_terms
 
 import re
 
@@ -141,12 +141,12 @@ class _TermBlocks:
     one delta), sorted by first_doc_id: a view into that source's
     _BlockTable, built the first time a query touches the term.
 
-    Salt buckets / sort-strategy runs are disjoint ordered doc_id
-    ranges, so sorting one source's blocks by first_doc_id yields a
-    sorted list regardless of how many sub-groups encoded it. Across
-    sources doc ranges may interleave — the engine keeps per-source
-    block lists and merges at decode (postings) or runs per-source
-    cursors (WAND).
+    Doc-chunk runs (and the salt groups / sort runs of legacy indexes)
+    are disjoint ordered doc_id ranges, so sorting one source's blocks
+    by first_doc_id yields a sorted list regardless of how many
+    sub-groups encoded it. Across sources doc ranges may interleave —
+    the engine keeps per-source block lists and merges at decode
+    (postings) or runs per-source cursors (WAND).
 
     ``bmax`` holds the idf-free norm maxima (build.bm25_norm) times the
     source's scale: a source built with avgdl_src stores maxima valid
@@ -736,11 +736,13 @@ class InvertedIndex:
     def _read_dictionary(self, p) -> pa.Table:
         """One source's dictionary — term-sharded loads ONLY the owned
         per-bucket parts (bucket % T == s), so actor dict memory is
-        ∝ vocab/T; unsharded reads the whole directory as before."""
+        ∝ vocab/T; unsharded reads the whole directory as before. The
+        term column comes back as ``pa.string()`` (older sources may
+        hold large_string), so any mix of sources merges."""
         d = p.dictionary
         cols = ["term", "term_id", "df", "cf"]
         if self.term_shard is None or not os.path.isdir(d):
-            return pq.read_table(d, columns=cols)
+            return string_terms(pq.read_table(d, columns=cols))
         ts, T = self.term_shard
         files = []
         for f in sorted(os.listdir(d)):
@@ -757,7 +759,7 @@ class InvertedIndex:
                 }
             )
         return pa.concat_tables(
-            [pq.read_table(f, columns=cols) for f in files]
+            [string_terms(pq.read_table(f, columns=cols)) for f in files]
         )
 
     @property

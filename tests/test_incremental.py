@@ -268,6 +268,112 @@ def test_merge_sources_multi_chunk_sharded(tmp_path, ray_session):
         tier.shutdown()
 
 
+def _tree_bytes(root: str) -> dict:
+    """{relative path: file bytes} of every file under ``root``."""
+    out = {}
+    for d, _dirs, files in os.walk(root):
+        for f in files:
+            path = os.path.join(d, f)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def test_merge_sources_rejects_non_bucket_source(tmp_path, ray_session):
+    """A source from a retired strategy (no postings buckets) must make
+    merge_sources raise before it touches anything: merging it used to
+    write an empty index, which update_pages_index then renamed over
+    the live one."""
+    import json
+
+    from harvester_ray.index.build import IndexPaths
+    from harvester_ray.index.maintenance import merge_sources
+
+    a = generate_zipf_docs(120, vocab_size=200, mean_len=30, seed=51)
+    b = generate_zipf_docs(
+        60, vocab_size=200, mean_len=30, seed=52, doc_id_offset=120
+    )
+    base_dir = str(tmp_path / "base")
+    build_index(ray.data.from_arrow(a), base_dir, n_docs=len(a))
+    add_docs(base_dir, ray.data.from_arrow(b), n_docs=len(b))
+    stats_path = IndexPaths(base_dir).stats
+    with open(stats_path) as f:
+        stats = json.load(f)
+    stats["segment_strategy"] = "sort"
+    with open(stats_path, "w") as f:
+        json.dump(stats, f)
+    out_dir = tmp_path / "merged"
+    out_dir.mkdir()
+    (out_dir / "keep.txt").write_text("untouched")
+    before = _tree_bytes(base_dir)
+
+    with pytest.raises(ValueError, match="bucket"):
+        merge_sources(base_dir, str(out_dir))
+    assert _tree_bytes(base_dir) == before
+    assert _tree_bytes(str(out_dir)) == {"keep.txt": b"untouched"}
+
+
+def test_string_and_large_string_sources_merge(tmp_path, ray_session):
+    """A large_string-text base plus a string-text delta: open,
+    reopen() and merge_sources all equal a fresh build over the union.
+    SPIMI writes pa.string() terms; the base's term columns are then
+    rewritten as large_string, as sources written before that fix hold
+    them, so the open and merge paths must unify the types."""
+    import pyarrow.parquet as pq
+
+    from harvester_ray.index.build import IndexPaths
+    from harvester_ray.index.maintenance import merge_sources
+
+    a = generate_zipf_docs(300, vocab_size=600, mean_len=50, seed=61)
+    b = generate_zipf_docs(
+        150, vocab_size=600, mean_len=50, seed=62, doc_id_offset=300
+    )
+    assert a.schema.field("text").type == pa.large_string()
+    b = b.set_column(1, "text", b["text"].cast(pa.string()))
+    base_dir = str(tmp_path / "base")
+    build_index(ray.data.from_arrow(a), base_dir, n_docs=len(a))
+
+    base = IndexPaths(base_dir)
+    term_files = [
+        os.path.join(d, f)
+        for root in (base.dictionary, base.postings)
+        for d, _dirs, files in os.walk(root)
+        for f in files
+        if f.endswith(".parquet")
+    ]
+    assert term_files
+    for path in term_files:
+        t = pq.read_table(path)
+        assert t.schema.field("term").type == pa.string(), path
+        i = t.schema.get_field_index("term")
+        pq.write_table(
+            t.set_column(i, "term", t["term"].cast(pa.large_string())), path
+        )
+
+    before_add = InvertedIndex(base_dir, preload=True)
+    add_docs(base_dir, ray.data.from_arrow(b), n_docs=len(b))
+
+    fresh_dir = str(tmp_path / "fresh")
+    union = pa.concat_tables([a, b.cast(a.schema)])
+    build_index(ray.data.from_arrow(union), fresh_dir, n_docs=len(union))
+    want = _search_all(InvertedIndex(fresh_dir, preload=True))
+
+    merged = merge_sources(base_dir, str(tmp_path / "merged"))
+    for name, idx in (
+        ("open", InvertedIndex(base_dir, preload=True)),
+        ("reopen", before_add.reopen()),
+        ("merge", InvertedIndex(merged.root, preload=True)),
+    ):
+        got = _search_all(idx)
+        assert idx.n_docs == len(union), name
+        for key in want:
+            assert [d for d, _ in got[key]] == [d for d, _ in want[key]], (
+                name, key,
+            )
+            for (d1, s1), (d2, s2) in zip(got[key], want[key]):
+                assert s1 == pytest.approx(s2, rel=1e-12), (name, key, d1)
+
+
 def test_legacy_base_plus_delta_serves_sharded(tmp_path, ray_session):
     """Upgrade path (round-5 review finding): a pre-round-5 chunked
     base (stats WITHOUT chunk_bounds) plus a delta that add_docs

@@ -104,59 +104,6 @@ def test_wand_small_block_size(tmp_path):
         assert [d for d, _ in wd] == [d for d, _ in ex], query
 
 
-def test_salting_produces_identical_postings(tmp_path):
-    """Head-term salting must not change decoded postings or ranks."""
-    cfg = IndexConfig(
-        segment_strategy="salted_groupby",
-        salt_df_threshold=50,
-        salt_buckets=8,
-        block_size=16,
-    )
-    docs = ray.data.read_parquet(DOCS, columns=["doc_id", "text"])
-    paths = build_index(docs, str(tmp_path / "salted"), cfg)
-    idx = InvertedIndex(paths.root, preload=True)
-    oracle = OracleIndex(_oracle_rows())
-    # every term present, postings sorted + identical to oracle
-    for term in oracle.postings:
-        p = idx.postings(term)
-        assert list(p.doc_ids) == sorted(oracle.postings[term]), term
-        assert p.df == len(oracle.postings[term]), term  # global df on salted groups
-    for query, mode in QUERIES:
-        got = idx.search(query, k=10, mode=mode)
-        want = oracle.search(query, k=10, mode=mode)
-        assert [d for d, _ in got] == [d for d, _ in want], (query, mode)
-
-
-def test_strategies_produce_identical_indexes(tmp_path):
-    """The sort strategy (default) and the salted-groupby strategy must
-    decode to identical postings and identical ranks."""
-    docs = ray.data.read_parquet(DOCS, columns=["doc_id", "text"])
-    p_sort = build_index(
-        docs, str(tmp_path / "s1"), IndexConfig(segment_strategy="sort", block_size=32)
-    )
-    docs = ray.data.read_parquet(DOCS, columns=["doc_id", "text"])
-    p_salt = build_index(
-        docs,
-        str(tmp_path / "s2"),
-        IndexConfig(
-            segment_strategy="salted_groupby",
-            salt_df_threshold=50,
-            salt_buckets=4,
-            block_size=32,
-        ),
-    )
-    i1 = InvertedIndex(p_sort.root, preload=True)
-    i2 = InvertedIndex(p_salt.root, preload=True)
-    assert set(i1.dictionary) == set(i2.dictionary)
-    for term in i1.dictionary:
-        a, b = i1.postings(term), i2.postings(term)
-        assert list(a.doc_ids) == list(b.doc_ids), term
-        assert list(a.tfs) == list(b.tfs), term
-        assert a.df == b.df, term
-    for query, mode in QUERIES:
-        assert i1.search(query, k=10, mode=mode) == i2.search(query, k=10, mode=mode)
-
-
 def test_query_actor_batch(built_index):
     q = pa.table(
         {
@@ -309,56 +256,3 @@ def test_bucket_counts_produce_identical_indexes(tmp_path):
         assert i1.search(query, k=10, mode=mode) == i2.search(
             query, k=10, mode=mode
         )
-
-
-def test_salted_strategy_splits_head_terms_on_sequential_ids(
-    tmp_path, ray_session
-):
-    """Sequential doc_ids used to salt every head-term posting into
-    ONE sub-group (top-bit salt constant over 0..N): with data-derived
-    salt ranges the head term must split into multiple ordered groups,
-    and serving must stay rank-identical to the bucket strategy."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data
-
-    from harvester_ray.config import IndexConfig
-    from harvester_ray.corpus import generate_zipf_docs
-    from harvester_ray.index.build import IndexPaths, build_index
-    from harvester_ray.index.query import InvertedIndex
-
-    n = 400
-    docs = generate_zipf_docs(n, vocab_size=50, mean_len=40, seed=9)
-    assert docs["doc_id"].to_pylist()[:2] == [0, 1]
-
-    out_s = str(tmp_path / "salted")
-    cfg = IndexConfig(
-        segment_strategy="salted_groupby",
-        salt_df_threshold=2,  # everything common is a head term
-        salt_buckets=4,
-    )
-    build_index(ray.data.from_arrow(docs), out_s, cfg, n_docs=n)
-    out_b = str(tmp_path / "bucket")
-    build_index(
-        ray.data.from_arrow(docs), out_b,
-        IndexConfig(num_term_buckets=4), n_docs=n,
-    )
-
-    import pyarrow.parquet as pq
-
-    seg = pq.read_table(
-        IndexPaths(out_s).segments, columns=["term", "salt"]
-    )
-    per_term_salts = {}
-    for t, s in zip(seg["term"].to_pylist(), seg["salt"].to_pylist()):
-        per_term_salts.setdefault(t, set()).add(s)
-    n_multi = sum(1 for v in per_term_salts.values() if len(v) > 1)
-    assert n_multi > 0, "no head term split into multiple salt groups"
-
-    a = InvertedIndex(out_s, preload=True)
-    b = InvertedIndex(out_b, preload=True)
-    for q in ("w0 w1", "w3 w7 w12"):
-        for mode in ("or", "and"):
-            assert a.search(q, k=10, mode=mode) == b.search(
-                q, k=10, mode=mode
-            )

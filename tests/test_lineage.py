@@ -19,9 +19,7 @@ DOCS = "/root/testdata/sf0.001/documents.parquet"
 
 def _index_digest(index_dir: str) -> str:
     """Digest of the *decoded* index: dictionary, stats and per-term
-    postings (doc_ids, tfs, doc_lens, df). Physical block layout may
-    differ across runs of the sort strategy (range partition boundaries
-    are sampled); the logical index must not."""
+    postings (doc_ids, tfs, doc_lens, df)."""
     from harvester_ray.index.query import InvertedIndex
 
     idx = InvertedIndex(index_dir, preload=True)
@@ -38,15 +36,16 @@ def _index_digest(index_dir: str) -> str:
 
 
 def _block_rows_digest(seg_dir: str) -> str:
-    """Exact block-row digest (salted_groupby strategy: fully
-    deterministic physical layout)."""
+    """Exact block-row digest over every segment column (the bucket
+    strategy's physical layout is fully deterministic). A term's runs
+    from different doc chunks are ordered by first_doc_id."""
     tbls = []
     for f in sorted(glob.glob(os.path.join(seg_dir, "*.parquet"))):
         tbls.append(pq.read_table(f))
     import pyarrow as pa
 
     t = pa.concat_tables(tbls).sort_by(
-        [("term_id", "ascending"), ("salt", "ascending"), ("block_id", "ascending")]
+        [("term_id", "ascending"), ("first_doc_id", "ascending")]
     )
     h = hashlib.md5()
     for col in sorted(t.column_names):
@@ -104,14 +103,13 @@ def test_build_resume_is_noop_and_identical(tmp_path, ray_session):
     assert _index_digest(out) == digest1
 
 
-def test_salted_strategy_block_layout_deterministic(tmp_path, ray_session):
-    """The salted_groupby strategy re-encodes byte-identical block rows
-    after an interrupted run (fully deterministic physical layout)."""
+def test_bucket_strategy_block_layout_deterministic(tmp_path, ray_session):
+    """The segments stage re-encodes byte-identical block rows after an
+    interrupted run, across doc chunks (deterministic physical
+    layout)."""
     from harvester_ray.config import IndexConfig
 
-    cfg = IndexConfig(
-        segment_strategy="salted_groupby", salt_df_threshold=100, salt_buckets=4
-    )
+    cfg = IndexConfig(segment_doc_chunks=2)
     out = str(tmp_path / "sidx")
     fp = dir_fingerprint(DOCS)
 
@@ -119,6 +117,9 @@ def test_salted_strategy_block_layout_deterministic(tmp_path, ray_session):
         return ray.data.read_parquet(DOCS, columns=["doc_id", "text"])
 
     build_index(docs(), out, cfg, input_fingerprint=fp)
+    seg_files = os.listdir(os.path.join(out, "segments"))
+    assert any(f.endswith("c00.parquet") for f in seg_files)
+    assert any(f.endswith("c01.parquet") for f in seg_files)
     d1 = _block_rows_digest(os.path.join(out, "segments"))
     shutil.rmtree(os.path.join(out, "segments"))
     build_index(docs(), out, cfg, input_fingerprint=fp)

@@ -1,5 +1,5 @@
 """Randomized rank-identity: random corpora through the real engine
-components (SPIMI batch → run encode → block decode → scoring) vs the
+components (SPIMI batch → bucket encode → block decode → scoring) vs the
 pure-Python oracle — no Ray session needed, so many corpora are cheap.
 
 Covers corner shapes the fixtures may miss: tiny vocabularies, heavy
@@ -14,8 +14,8 @@ import pytest
 from harvester_ray.config import IndexConfig
 from harvester_ray.functions.text import hash64
 from harvester_ray.index.build import (
-    _encode_run,
     bm25_score,
+    encode_postings,
     spimi_postings_batch,
 )
 from harvester_ray.index.oracle import OracleIndex
@@ -41,9 +41,10 @@ def _random_corpus(rng: np.random.Generator, n_docs: int):
 
 
 def _engine_blocks(rows, block_size: int):
-    """Run the real batch pipeline: SPIMI → per-term sorted run encode →
-    the engine's per-term view of a block table, returning
-    {term: _TermBlocks} + df map + stats."""
+    """Run the real batch pipeline: SPIMI → the build's bucket encode
+    (encode_postings over all posting rows at once) → the engine's
+    per-term view of that block table, returning {term: _TermBlocks} +
+    df map + stats."""
     batch = pa.table(
         {
             "doc_id": pa.array([d for d, _ in rows], pa.int64()),
@@ -54,20 +55,15 @@ def _engine_blocks(rows, block_size: int):
     n_docs = len(rows)
     total = int(pa.compute.sum(postings["tf"]).as_py() or 0)
     avgdl = total / n_docs if n_docs else 0.0
-    df_map = {}
-    blocks = {}
-    tbl = postings.to_pandas()
-    for term, g in tbl.groupby("term"):
-        g = g.sort_values("doc_id")
-        seg = _encode_run(
-            term, hash64(term), 0,
-            g["doc_id"].to_numpy(np.int64),
-            g["tf"].to_numpy(np.int64),
-            g["doc_len"].to_numpy(np.int64),
-            avgdl, 1.2, 0.75, block_size,
-        )
-        blocks[term] = _BlockTable(seg, "varint").view(hash64(term), 1.0)
-        df_map[term] = len(g)
+    table = _BlockTable(
+        encode_postings(postings, avgdl, 1.2, 0.75, block_size, "varint"),
+        "varint",
+    )
+    terms, df = np.unique(
+        postings["term"].to_numpy(zero_copy_only=False), return_counts=True
+    )
+    blocks = {t: table.view(hash64(t), 1.0) for t in terms.tolist()}
+    df_map = dict(zip(terms.tolist(), df.tolist()))
     return blocks, df_map, n_docs, avgdl
 
 

@@ -232,15 +232,27 @@ def test_term_shard_rejects_bad_config(term_sharded_setup, ray_session):
 
 
 def test_term_shard_rejects_non_bucket_strategy(tmp_path_factory, ray_session):
-    from harvester_ray.config import IndexConfig
+    """A legacy index (stats.json from a retired strategy) still
+    searches single-process, but never term-sharded."""
+    import json
+    import os
 
     root = tmp_path_factory.mktemp("termshard_sort")
     docs = generate_zipf_docs(100, vocab_size=80, mean_len=20, seed=5)
     out = str(root / "idx")
-    build_index(
-        ray.data.from_arrow(docs), out,
-        IndexConfig(segment_strategy="sort"), n_docs=100,
-    )
+    build_index(ray.data.from_arrow(docs), out, n_docs=100)
+    fresh = InvertedIndex(out)
+    want = {(q, m): fresh.search(q, k=10, mode=m) for q, m in QUERIES}
+    stats_path = os.path.join(out, "stats.json")
+    with open(stats_path) as f:
+        stats = json.load(f)
+    stats["segment_strategy"] = "sort"
+    with open(stats_path, "w") as f:
+        json.dump(stats, f)
+    legacy = InvertedIndex(out, preload=True)
+    assert any(want.values())
+    for q, mode in QUERIES:
+        assert legacy.search(q, k=10, mode=mode) == want[q, mode], (q, mode)
     with pytest.raises(ValueError, match="bucket"):
         InvertedIndex(out, term_shard=(0, 2))
 
