@@ -22,6 +22,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from harvester_ray.stages.topk import topk_per_key
+
 
 def _padded_matrix(terms: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(n x L) uint8 byte matrix (zero-padded) + per-term byte lengths.
@@ -157,16 +159,12 @@ def _pattern_expansions(
             )
         return pa.concat_tables(parts)
 
-    matches = dict_ds.map_batches(match, batch_format="pyarrow")
-
-    def top_cap(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g, sort_keys=[("df", "descending"), ("term", "ascending")]
-        )[:cap]
-        return g.take(idx).select(["query_id", "term"])
-
-    capped = matches.groupby("query_id").map_groups(
-        top_cap, batch_format="pyarrow"
+    capped = topk_per_key(
+        dict_ds.map_batches(match, batch_format="pyarrow"),
+        "query_id",
+        [("df", "descending"), ("term", "ascending")],
+        cap,
+        ["term"],
     )
     out = capped.to_pandas()  # bounded by len(patterns) * cap
     if out.empty:
@@ -267,24 +265,19 @@ def best_suggestions(
 
     locals_ = dict_ds.map_batches(local_best, batch_format="pyarrow")
 
-    def global_best(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g,
-            sort_keys=[
-                ("dist", "ascending"),
-                ("cf", "descending"),
-                ("suggestion", "ascending"),
-            ],
-        )
-        return g.take(idx[:1]).select(
-            ["query_id", "qterm", "suggestion", "dist"]
-        )
-
-    # group by BOTH keys: local_best emits one row per (query_id,
+    # key on BOTH columns: local_best emits one row per (query_id,
     # qterm), and a multi-token query must keep one suggestion per
     # query term (ADVICE r3)
-    out = locals_.groupby(["query_id", "qterm"]).map_groups(
-        global_best, batch_format="pyarrow"
+    out = topk_per_key(
+        locals_,
+        ["query_id", "qterm"],
+        [
+            ("dist", "ascending"),
+            ("cf", "descending"),
+            ("suggestion", "ascending"),
+        ],
+        1,
+        ["suggestion", "dist"],
     )
     tbl = pa.Table.from_pandas(
         out.to_pandas(), preserve_index=False

@@ -19,6 +19,7 @@ from harvester_ray.config import DEFAULT_INDEX_CONFIG, stage_concurrency
 from harvester_ray.index.build import ENGINE_VERSION, IndexPaths, build_index
 from harvester_ray.index.query import QueryActor
 from harvester_ray.stages.joins import join_parquet_side
+from harvester_ray.stages.topk import topk_per_key
 
 CACHE_ROOT = "/tmp/harvester_ray_cache"
 
@@ -142,26 +143,13 @@ def terms_enum(sf_dir: str) -> "ray.data.Dataset":
             )
         return pa.concat_tables(outs)
 
-    def topk(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g, sort_keys=[("df", "descending"), ("term", "ascending")]
-        )[:TERMS_K]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "prefix_id": g["prefix_id"].cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "term": g["term"].cast(pa.string()),
-                "df": g["df"].cast(pa.int64()),
-            }
-        )
-
-    return (
-        dic.map_batches(match, batch_format="pyarrow")
-        .groupby("prefix_id")
-        .map_groups(topk, batch_format="pyarrow")
+    return topk_per_key(
+        dic.map_batches(match, batch_format="pyarrow"),
+        "prefix_id",
+        [("df", "descending"), ("term", "ascending")],
+        TERMS_K,
+        ["term", "df"],
+        rank="rank",
     )
 
 
@@ -630,10 +618,7 @@ def json_facet_stats(sf_dir: str) -> "ray.data.Dataset":
     all corpus-scale-safe. Output (query_id, bucket_rank, source,
     n_docs, sum_chars, avg_chars_fp4)."""
     import numpy as np
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count, Sum
-
-    from harvester_ray.config import shuffle_partitions
 
     matches = _distinct_match_set(sf_dir)
     joined = join_parquet_side(
@@ -646,29 +631,21 @@ def json_facet_stats(sf_dir: str) -> "ray.data.Dataset":
         Count(alias_name="n_docs"), Sum("n_chars", alias_name="sum_chars")
     )
 
-    def topk(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g, sort_keys=[("n_docs", "descending"), ("source", "ascending")]
-        )[:JSON_FACET_K]
-        g = g.take(idx)
-        n = g["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = g["sum_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "query_id": g["query_id"].cast(pa.int64()),
-                "bucket_rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "source": g["source"].cast(pa.string()),
-                "n_docs": pa.array(n, pa.int64()),
-                "sum_chars": pa.array(s, pa.int64()),
-                "avg_chars_fp4": pa.array((s * _FP4) // n, pa.int64()),
-            }
+    def avg(t: pa.Table) -> pa.Table:
+        n = t["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
+        s = t["sum_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return t.append_column(
+            "avg_chars_fp4", pa.array((s * _FP4) // n, pa.int64())
         )
 
-    return buckets.groupby("query_id").map_groups(
-        topk, batch_format="pyarrow"
-    )
+    return topk_per_key(
+        buckets,
+        "query_id",
+        [("n_docs", "descending"), ("source", "ascending")],
+        JSON_FACET_K,
+        ["source", "n_docs", "sum_chars"],
+        rank="bucket_rank",
+    ).map_batches(avg, batch_format="pyarrow")
 
 
 def sort_by_field_topk(sf_dir: str) -> "ray.data.Dataset":
@@ -679,13 +656,8 @@ def sort_by_field_topk(sf_dir: str) -> "ray.data.Dataset":
     sort keys (sort_title, sort_date_start/end,
     harvester/solr_updater.py:561-608) and delegates the ordering to
     the index tier; here the engine owns it: _distinct_match_set →
-    n_chars hash join → per-batch top-10-per-query combiner → grouped
-    finalize (the shuffle carries <= 10 x queries x batches rows)."""
-    import numpy as np
-    import pandas as pd
-
-    from harvester_ray.config import shuffle_partitions
-
+    n_chars hash join → topk_per_key (its per-block prune keeps the
+    shuffle at <= 10 x queries x blocks rows)."""
     matches = _distinct_match_set(sf_dir)
     joined = join_parquet_side(
         matches,
@@ -693,34 +665,13 @@ def sort_by_field_topk(sf_dir: str) -> "ray.data.Dataset":
         columns=["doc_id", "n_chars"],
         on=["doc_id"],
     )
-
-    import pyarrow.compute as pc
-
-    _SORT = [
-        ("n_chars", "descending"),
-        ("doc_id", "ascending"),
-    ]
-
-    local_topk = _per_block_topk(_SORT, TOP_K)
-
-    def finalize(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=_SORT)[:TOP_K]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "query_id": g["query_id"].cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": g["doc_id"].cast(pa.int64()),
-                "n_chars": g["n_chars"].cast(pa.int64()),
-            }
-        )
-
-    return (
-        joined.map_batches(local_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(finalize, batch_format="pyarrow")
+    return topk_per_key(
+        joined,
+        "query_id",
+        [("n_chars", "descending"), ("doc_id", "ascending")],
+        TOP_K,
+        ["doc_id", "n_chars"],
+        rank="rank",
     )
 
 
@@ -998,52 +949,17 @@ def _weighted_match_set_build(
     )
 
 
-def _per_block_topk(sort_keys: list, k: int):
-    """Per-batch k-per-query combiner, pure Arrow: sort once, then keep
-    each query_id's first k rows via a segmented rank — the pre-prune
-    that bounds a grouped top-k's shuffle at O(queries x k) rows.
-    Shared by the filtered/boosted/fused top-k pipelines."""
-    import numpy as np
-
-    def fn(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:  # empty shuffle-partition block
-            return t
-        t = t.sort_by([("query_id", "ascending")] + sort_keys)
-        q = t["query_id"].to_numpy(zero_copy_only=False)
-        if len(q) == 0:
-            return t
-        change = np.r_[True, q[1:] != q[:-1]]
-        starts = np.flatnonzero(change)
-        seg = np.cumsum(change) - 1
-        pos = np.arange(len(q)) - starts[seg]
-        return t.filter(pa.array(pos < k))
-
-    return fn
-
-
-def _ranked_topk(key: str, k: int):
-    """Arrow-native map_groups finalizer: per query_id group, the
-    top-k rows by (key desc, doc_id asc) re-emitted as
+def _doc_topk(ds: "ray.data.Dataset", score: str, k: int = TOP_K):
+    """Per query_id, the top-k docs by (score desc, doc_id asc) as
     (query_id, rank 1..k, doc_id)."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    def topk(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g, sort_keys=[(key, "descending"), ("doc_id", "ascending")]
-        )[:k]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "query_id": g["query_id"].cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": g["doc_id"].cast(pa.int64()),
-            }
-        )
-
-    return topk
+    return topk_per_key(
+        ds,
+        "query_id",
+        [(score, "descending"), ("doc_id", "ascending")],
+        k,
+        ["doc_id"],
+        rank="rank",
+    )
 
 
 def lmdirichlet_topk(sf_dir: str) -> "ray.data.Dataset":
@@ -1054,11 +970,7 @@ def lmdirichlet_topk(sf_dir: str) -> "ray.data.Dataset":
     the same full-match-set pipeline as BM25/tfidf — one pruned
     postings read + one doc_len join + grouped integer sum; nothing
     new moves at 100 TB. (query_id, rank, doc_id)."""
-    return (
-        _lm_match_set(sf_dir)
-        .groupby("query_id")
-        .map_groups(_ranked_topk("score_fp", TOP_K), batch_format="pyarrow")
-    )
+    return _doc_topk(_lm_match_set(sf_dir), "score_fp")
 
 
 def rerank_topk(sf_dir: str) -> "ray.data.Dataset":
@@ -1074,11 +986,7 @@ def rerank_topk(sf_dir: str) -> "ray.data.Dataset":
     import numpy as np
 
     cand = (
-        _scored_match_set(sf_dir)
-        .groupby("query_id")
-        .map_groups(
-            _ranked_topk("score_fp", RERANK_N), batch_format="pyarrow"
-        )
+        _doc_topk(_scored_match_set(sf_dir), "score_fp", RERANK_N)
         .select_columns(["query_id", "doc_id"])
         .take_all()
     )
@@ -1100,12 +1008,10 @@ def rerank_topk(sf_dir: str) -> "ray.data.Dataset":
                 keep[m] = np.isin(did[m], docs)
         return t.filter(pa.array(keep))
 
-    return (
-        _tfidf_match_set(sf_dir)
-        .map_batches(keep_cand, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(_ranked_topk("score_fp", TOP_K), batch_format="pyarrow")
+    kept = _tfidf_match_set(sf_dir).map_batches(
+        keep_cand, batch_format="pyarrow"
     )
+    return _doc_topk(kept, "score_fp")
 
 
 def collapse_topk(sf_dir: str) -> "ray.data.Dataset":
@@ -1114,10 +1020,6 @@ def collapse_topk(sf_dir: str) -> "ray.data.Dataset":
     set (_scored_match_set), then the top-COLLAPSE_K groups ranked by
     their representative: (query_id, grp_rank, source, doc_id) via
     source join → grouped top-1 → per-query group ranking."""
-    import numpy as np
-
-    from harvester_ray.config import shuffle_partitions
-
     scored = _scored_match_set(sf_dir)
     joined = join_parquet_side(
         scored,
@@ -1125,37 +1027,17 @@ def collapse_topk(sf_dir: str) -> "ray.data.Dataset":
         columns=["doc_id", "source"],
         on=["doc_id"],
     )
-
-    import pyarrow.compute as pc
-
     _SORT = [("score_fp", "descending"), ("doc_id", "ascending")]
-
-    def top1(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=_SORT)[:1]
-        return g.take(idx).select(
-            ["query_id", "source", "doc_id", "score_fp"]
-        )
-
-    reps = joined.groupby(["query_id", "source"]).map_groups(
-        top1, batch_format="pyarrow"
+    reps = topk_per_key(
+        joined, ["query_id", "source"], _SORT, 1, ["doc_id", "score_fp"]
     )
-
-    def rank_groups(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=_SORT)[:COLLAPSE_K]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "query_id": g["query_id"].cast(pa.int64()),
-                "grp_rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "source": g["source"].cast(pa.string()),
-                "doc_id": g["doc_id"].cast(pa.int64()),
-            }
-        )
-
-    return reps.groupby("query_id").map_groups(
-        rank_groups, batch_format="pyarrow"
+    return topk_per_key(
+        reps,
+        "query_id",
+        _SORT,
+        COLLAPSE_K,
+        ["source", "doc_id"],
+        rank="grp_rank",
     )
 
 
@@ -1681,8 +1563,6 @@ def bm25_topk_filtered(sf_dir: str) -> "ray.data.Dataset":
     Output (query_id, rank 1..10, doc_id) on the filtered ranking."""
     import pyarrow.compute as pc
 
-    from harvester_ray.config import shuffle_partitions
-
     scored = _scored_match_set(sf_dir)
     joined = join_parquet_side(
         scored,
@@ -1695,9 +1575,7 @@ def bm25_topk_filtered(sf_dir: str) -> "ray.data.Dataset":
         batch_format="pyarrow",
     )
 
-    return flt.groupby("query_id").map_groups(
-        _ranked_topk("score_fp", TOP_K), batch_format="pyarrow"
-    )
+    return _doc_topk(flt, "score_fp")
 
 
 # (query_id, LIKE pattern): middle/suffix wildcards, one broad pattern
@@ -1942,7 +1820,6 @@ def hybrid_rrf(sf_dir: str) -> "ray.data.Dataset":
     the fused ordering is exact on both engines (no float RRF drift).
     Output (query_id, rank 1..10, doc_id) on the fused ranking."""
     import numpy as np
-    import pandas as pd
     from ray.data.aggregate import Sum
 
     both = _bm25(sf_dir, "or").union(_bm25(sf_dir, "or", scorer="tfidf"))
@@ -1973,9 +1850,7 @@ def hybrid_rrf(sf_dir: str) -> "ray.data.Dataset":
         )
     )
 
-    return fused.groupby("query_id").map_groups(
-        _ranked_topk("rrf_fp", TOP_K), batch_format="pyarrow"
-    )
+    return _doc_topk(fused, "rrf_fp")
 
 
 PRF_TOP = 3  # feedback depth: embeddings of the top-3 BM25 hits
@@ -2274,7 +2149,6 @@ def bm25f_topk(sf_dir: str) -> "ray.data.Dataset":
     import json as _json
 
     import numpy as np
-    import pandas as pd
     import pyarrow.parquet as pq
     from ray.data.aggregate import Sum
 
@@ -2369,9 +2243,7 @@ def bm25f_topk(sf_dir: str) -> "ray.data.Dataset":
         .aggregate(Sum("score_fp", alias_name="score_fp"))
     )
 
-    return scored.groupby("query_id").map_groups(
-        _ranked_topk("score_fp", TOP_K), batch_format="pyarrow"
-    )
+    return _doc_topk(scored, "score_fp")
 
 
 # ── porter_en fielded entries: the second real analyzer end-to-end ──
@@ -2597,9 +2469,6 @@ def bm25_boosted_topk(sf_dir: str) -> "ray.data.Dataset":
     (score_fp <~ 1e10, boost_fp <= 1e4 -> < 1e14 << 2^63).
     Output (query_id, rank, doc_id, boosted_fp)."""
     import numpy as np
-    import pyarrow.compute as pc
-
-    from harvester_ray.config import shuffle_partitions
 
     scored = _scored_match_set(sf_dir)
     joined = join_parquet_side(
@@ -2621,29 +2490,13 @@ def bm25_boosted_topk(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    _SORT = [("boosted_fp", "descending"), ("doc_id", "ascending")]
-
-    local_topk = _per_block_topk(_SORT, TOP_K)
-
-    def finalize(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=_SORT)[:TOP_K]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "query_id": g["query_id"].cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": g["doc_id"].cast(pa.int64()),
-                "boosted_fp": g["boosted_fp"].cast(pa.int64()),
-            }
-        )
-
-    return (
-        joined.map_batches(boost, batch_format="pyarrow")
-        .map_batches(local_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(finalize, batch_format="pyarrow")
+    return topk_per_key(
+        joined.map_batches(boost, batch_format="pyarrow"),
+        "query_id",
+        [("boosted_fp", "descending"), ("doc_id", "ascending")],
+        TOP_K,
+        ["doc_id", "boosted_fp"],
+        rank="rank",
     )
 
 
@@ -2789,13 +2642,14 @@ def elevated_topk(sf_dir: str) -> "ray.data.Dataset":
     remainder reuses _scored_match_set with a vectorized anti-filter.
     Output (query_id, rank, doc_id)."""
     import numpy as np
-    import pyarrow.compute as pc
 
     scored = _scored_match_set(sf_dir)
     pinned = sorted(
         (qid, did) for qid, dids in ELEVATE_SET.items() for did in dids
     )
-    offset = {qid: len(dids) for qid, dids in ELEVATE_SET.items()}
+    off_arr = np.zeros(max(q[0] for q in QUERY_SET) + 1, np.int64)
+    for qid, dids in ELEVATE_SET.items():
+        off_arr[qid] = len(dids)
 
     def drop_pinned(t: pa.Table) -> pa.Table:
         # exact (query_id, doc_id) pair test — one vectorized mask per
@@ -2810,29 +2664,17 @@ def elevated_topk(sf_dir: str) -> "ray.data.Dataset":
             keep &= ~((q == pq) & (d == pd_))
         return t.filter(pa.array(keep))
 
-    _SORT = [("score_fp", "descending"), ("doc_id", "ascending")]
+    def shift(t: pa.Table) -> pa.Table:
+        # ranks 1..TOP_K move below the query's pins; keep <= TOP_K
+        q = t["query_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        r = t["rank"].to_numpy(zero_copy_only=False) + off_arr[q]
+        return t.set_column(
+            t.column_names.index("rank"), "rank", pa.array(r, pa.int64())
+        ).filter(pa.array(r <= TOP_K))
 
-    def finalize(g: pa.Table) -> pa.Table:
-        qid = int(g["query_id"][0].as_py())
-        off = offset.get(qid, 0)
-        idx = pc.sort_indices(g, sort_keys=_SORT)[: max(TOP_K - off, 0)]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "query_id": g["query_id"].cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(off + 1, off + len(g) + 1, dtype=np.int64),
-                    pa.int64(),
-                ),
-                "doc_id": g["doc_id"].cast(pa.int64()),
-            }
-        )
-
-    rest = (
-        scored.map_batches(drop_pinned, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(finalize, batch_format="pyarrow")
-    )
+    rest = _doc_topk(
+        scored.map_batches(drop_pinned, batch_format="pyarrow"), "score_fp"
+    ).map_batches(shift, batch_format="pyarrow")
     elev_rows = pa.table(
         {
             "query_id": pa.array(
@@ -2906,7 +2748,6 @@ def significant_terms(sf_dir: str) -> "ray.data.Dataset":
     import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
-    from harvester_ray.config import shuffle_partitions
     from harvester_ray.functions.text import tokenize
 
     paths = index_for(sf_dir)
@@ -2974,26 +2815,13 @@ def significant_terms(sf_dir: str) -> "ray.data.Dataset":
         t = t.append_column("lift_fp", pa.array(lift_fp, pa.int64()))
         return t.filter(pa.array(ok))
 
-    def topk(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g, sort_keys=[("lift_fp", "descending"), ("term", "ascending")]
-        )[:SIG_TOP_K]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "query_id": g["query_id"].cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "term": g["term"].cast(pa.string()),
-                "lift_fp": g["lift_fp"].cast(pa.int64()),
-            }
-        )
-
-    return (
-        j.map_batches(lift, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(topk, batch_format="pyarrow")
+    return topk_per_key(
+        j.map_batches(lift, batch_format="pyarrow"),
+        "query_id",
+        [("lift_fp", "descending"), ("term", "ascending")],
+        SIG_TOP_K,
+        ["term", "lift_fp"],
+        rank="rank",
     )
 
 
@@ -3069,7 +2897,6 @@ def mm_topk(sf_dir: str) -> "ray.data.Dataset":
     every Calisphere multi-term search passes through."""
     import numpy as np
 
-    from harvester_ray.config import shuffle_partitions
     from harvester_ray.functions.text import tokenize
 
     qterms = [
@@ -3089,10 +2916,8 @@ def mm_topk(sf_dir: str) -> "ray.data.Dataset":
         nt = t["nterms"].to_numpy(zero_copy_only=False).astype(np.int64)
         return t.filter(pa.array(nt >= req[qid]))
 
-    return (
-        joined.map_batches(keep, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(_ranked_topk("score_fp", TOP_K), batch_format="pyarrow")
+    return _doc_topk(
+        joined.map_batches(keep, batch_format="pyarrow"), "score_fp"
     )
 
 
@@ -3218,9 +3043,7 @@ def pf_topk(sf_dir: str) -> "ray.data.Dataset":
 
         boosted = matches.map_batches(boost, batch_format="pyarrow")
 
-    return boosted.groupby("query_id").map_groups(
-        _ranked_topk("final_fp", TOP_K), batch_format="pyarrow"
-    )
+    return _doc_topk(boosted, "final_fp")
 
 
 # ── /tvrh term-vector component ─────────────────────────────────────
@@ -3467,9 +3290,6 @@ def doc_keywords(sf_dir: str) -> "ray.data.Dataset":
     import math
 
     import numpy as np
-    import pyarrow.compute as pc
-
-    from harvester_ray.config import shuffle_partitions
 
     paths = index_for(sf_dir)
     with open(paths.stats) as f:
@@ -3508,27 +3328,13 @@ def doc_keywords(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    def topk(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g,
-            sort_keys=[("tfidf_fp", "descending"), ("term", "ascending")],
-        )[:KW_K]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "doc_id": g["doc_id"],
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "term": g["term"],
-                "tfidf_fp": g["tfidf_fp"],
-            }
-        )
-
-    return (
-        joined.map_batches(weigh, batch_format="pyarrow")
-        .groupby("doc_id")
-        .map_groups(topk, batch_format="pyarrow")
+    return topk_per_key(
+        joined.map_batches(weigh, batch_format="pyarrow"),
+        "doc_id",
+        [("tfidf_fp", "descending"), ("term", "ascending")],
+        KW_K,
+        ["term", "tfidf_fp"],
+        rank="rank",
     )
 
 
@@ -4052,9 +3858,6 @@ def join_query_topk(sf_dir: str) -> "ray.data.Dataset":
     side) → per-query grouped top-k with per-batch prune. Both joins
     pick broadcast vs key-partitioned by side size (join_parquet_side
     guard); past the guard nothing is broadcast."""
-    import numpy as np
-    import pyarrow.compute as pc
-
     scored = _scored_match_set(sf_dir)
     matched_srcs = (
         join_parquet_side(
@@ -4077,37 +3880,13 @@ def join_query_topk(sf_dir: str) -> "ray.data.Dataset":
         ),
     )
 
-    _SORT = [("n_chars", "descending"), ("doc_id", "ascending")]
-
-    def local_prune(t: pa.Table) -> pa.Table:
-        # per-batch top-k per query: only JOINQ_K rows per (batch,
-        # query) survive to the final per-query rank
-        out = []
-        for qid in pc.unique(t["query_id"]).to_pylist():
-            g = t.filter(pc.equal(t["query_id"], qid))
-            idx = pc.sort_indices(g, sort_keys=_SORT)[:JOINQ_K]
-            out.append(g.take(idx))
-        if not out:
-            return t.slice(0, 0)
-        return pa.concat_tables(out)
-
-    def rank(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=_SORT)[:JOINQ_K]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "query_id": g["query_id"].cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": g["doc_id"].cast(pa.int64()),
-            }
-        )
-
-    return (
-        fanout.map_batches(local_prune, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(rank, batch_format="pyarrow")
+    return topk_per_key(
+        fanout,
+        "query_id",
+        [("n_chars", "descending"), ("doc_id", "ascending")],
+        JOINQ_K,
+        ["doc_id"],
+        rank="rank",
     )
 
 
@@ -4453,7 +4232,6 @@ def pagerank_boosted_topk(sf_dir: str) -> "ray.data.Dataset":
     grouped finalize move O(queries x K) rows.
     Output (query_id, rank, doc_id, fused_fp)."""
     import numpy as np
-    import pyarrow.compute as pc
 
     from harvester_ray.pipelines.weburls import pagerank_fixed
     from harvester_ray.stages.joins import ds_join
@@ -4487,29 +4265,13 @@ def pagerank_boosted_topk(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    _SORT = [("fused_fp", "descending"), ("doc_id", "ascending")]
-
-    local_topk = _per_block_topk(_SORT, TOP_K)
-
-    def finalize(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=_SORT)[:TOP_K]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "query_id": g["query_id"].cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": g["doc_id"].cast(pa.int64()),
-                "fused_fp": g["fused_fp"].cast(pa.int64()),
-            }
-        )
-
-    return (
-        joined.map_batches(fuse, batch_format="pyarrow")
-        .map_batches(local_topk, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(finalize, batch_format="pyarrow")
+    return topk_per_key(
+        joined.map_batches(fuse, batch_format="pyarrow"),
+        "query_id",
+        [("fused_fp", "descending"), ("doc_id", "ascending")],
+        TOP_K,
+        ["doc_id", "fused_fp"],
+        rank="rank",
     )
 
 

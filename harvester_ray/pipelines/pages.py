@@ -617,9 +617,11 @@ def ingest_delta_counts(
 
     Scale shape: each side projects to (url, content-hash, side) —
     the html payload never shuffles — then one url-keyed groupby
-    classifies and per-batch partial sums fold to THREE scalars on
-    the driver."""
-    from ray.data.aggregate import Sum
+    reduces to built-in min/max of side and hash, a vectorized map
+    classifies each url, and per-block partial sums fold to THREE
+    scalars on the driver. min_h != max_h holds exactly when a url
+    carries more than one distinct hash."""
+    from ray.data.aggregate import Max, Min, Sum
 
     from harvester_ray.functions.text import hash64_bytes
 
@@ -640,24 +642,32 @@ def ingest_delta_counts(
         new_pages.map_batches(sig(1), batch_format="pyarrow")
     )
 
-    def classify(g: pa.Table) -> pa.Table:
-        sides = set(g["side"].to_pylist())
-        added = int(sides == {1})
-        deleted = int(sides == {0})
-        changed = int(
-            sides == {0, 1} and len(set(g["h"].to_pylist())) > 1
+    def classify(t: pa.Table) -> pa.Table:
+        lo = t["min_side"].to_numpy(zero_copy_only=False)
+        hi = t["max_side"].to_numpy(zero_copy_only=False)
+        two_hashes = (
+            t["min_h"].to_numpy(zero_copy_only=False)
+            != t["max_h"].to_numpy(zero_copy_only=False)
         )
         return pa.table(
             {
-                "added": pa.array([added], pa.int64()),
-                "changed": pa.array([changed], pa.int64()),
-                "deleted": pa.array([deleted], pa.int64()),
+                "added": pa.array(lo == 1, pa.int64()),
+                "changed": pa.array(
+                    (lo == 0) & (hi == 1) & two_hashes, pa.int64()
+                ),
+                "deleted": pa.array(hi == 0, pa.int64()),
             }
         )
 
     agg = (
         both.groupby("url")
-        .map_groups(classify, batch_format="pyarrow")
+        .aggregate(
+            Min("side", alias_name="min_side"),
+            Max("side", alias_name="max_side"),
+            Min("h", alias_name="min_h"),
+            Max("h", alias_name="max_h"),
+        )
+        .map_batches(classify, batch_format="pyarrow")
         .aggregate(
             Sum("added", alias_name="added"),
             Sum("changed", alias_name="changed"),

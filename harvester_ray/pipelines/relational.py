@@ -29,6 +29,7 @@ from ray.data.aggregate import Count, Mean, Sum
 
 from harvester_ray.config import shuffle_partitions
 from harvester_ray.functions.text import flatten_tokens, tokenize_column
+from harvester_ray.stages.topk import topk_per_key
 
 STOPWORDS = ("the", "a", "of", "and", "to")
 SESSION_GAP_MIN = 30
@@ -655,54 +656,23 @@ def events_asof_orders(sf_dir: str) -> "ray.data.Dataset":
 
 
 def top_orders_per_priority(sf_dir: str, k: int = 3) -> "ray.data.Dataset":
-    """Grouped top-k with a per-batch combiner: each batch forwards at
-    most k rows per group (so the shuffle moves O(k x groups x batches)
-    rows, not the fact table), then one groupby finalizes. Rank rule:
-    o_totalprice DESC, o_orderkey ASC."""
+    """Grouped top-k through topk_per_key: its per-block pre-prune
+    forwards at most k rows per group (so the shuffle moves
+    O(k x groups x blocks) rows, not the fact table), then one groupby
+    finalizes. Rank rule: o_totalprice DESC, o_orderkey ASC."""
     ds = _read(
         sf_dir, "orders", ["o_orderpriority", "o_orderkey", "o_totalprice"]
     )
-
-    _SORT = [("o_totalprice", "descending"), ("o_orderkey", "ascending")]
-
-    def topk(t: pa.Table) -> pa.Table:
-        t = t.sort_by([("o_orderpriority", "ascending")] + _SORT)
-        pr = t["o_orderpriority"].to_numpy(zero_copy_only=False)
-        if len(pr) == 0:
-            return t
-        change = np.r_[True, pr[1:] != pr[:-1]]
-        starts = np.flatnonzero(change)
-        seg = np.cumsum(change) - 1
-        pos = np.arange(len(pr)) - starts[seg]
-        return t.filter(pa.array(pos < k))
-
-    def finalize(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=_SORT)[:k]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "o_orderpriority": g["o_orderpriority"],
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "o_orderkey": g["o_orderkey"].cast(pa.int64()),
-                "price_r4": pa.array(
-                    np.floor(
-                        g["o_totalprice"]
-                        .to_numpy(zero_copy_only=False)
-                        .astype(np.float64)
-                        * 10_000
-                        + 0.5
-                    ).astype(np.int64),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    return (
-        ds.map_batches(topk, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .map_groups(finalize, batch_format="pyarrow")
+    top = topk_per_key(
+        ds,
+        "o_orderpriority",
+        [("o_totalprice", "descending"), ("o_orderkey", "ascending")],
+        k,
+        ["o_orderkey", "o_totalprice"],
+        rank="rank",
+    )
+    return _round_cols(top, ["o_totalprice"]).rename_columns(
+        {"o_totalprice": "price_r4"}
     )
 
 
@@ -922,13 +892,13 @@ def ann_cosine_topk_batch(
 ) -> "ray.data.Dataset":
     """Batched brute-force ANN: top-k neighbors for a whole QUERY SET
     in one pipeline — each batch does ONE (rows x dim) @ (dim x Q)
-    matmul against the broadcast normalized query matrix and keeps k
-    rows per query (per-batch per-query top-k, lossless under the
-    (sim DESC, vec_id ASC) order), so the final groupby handles
-    <= k x Q x batches rows. The batched-inference shape every
-    embedding-scoring stage uses at scale. ``read_filter`` (a parquet
-    dataset expression) restricts the candidate set AT THE READ —
-    the filtered-search entry below rides it."""
+    matmul against the broadcast normalized query matrix, and
+    topk_per_key's per-block pre-prune keeps k rows per query
+    (lossless under the (sim DESC, vec_id ASC) order), so the final
+    groupby handles <= k x Q x blocks rows. The batched-inference
+    shape every embedding-scoring stage uses at scale. ``read_filter``
+    (a parquet dataset expression) restricts the candidate set AT THE
+    READ — the filtered-search entry below rides it."""
     from harvester_ray.stages.similarity import fetch_query_vectors
 
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
@@ -946,21 +916,13 @@ def ann_cosine_topk_batch(
         norms[norms == 0] = 1.0
         S = np.round((E @ qm.T) / norms[:, None], 6)  # rows x Q
         ids = t["vec_id"].to_numpy(zero_copy_only=False)
-        out_q, out_v, out_s = [], [], []
-        for j, qid in enumerate(qids):
-            col = S[:, j]
-            take = (
-                np.lexsort((ids, -col))[:k] if len(ids) > k
-                else np.arange(len(ids))
-            )
-            out_q.append(np.full(len(take), qid, np.int64))
-            out_v.append(ids[take])
-            out_s.append(col[take])
         return pa.table(
             {
-                "query_vec_id": pa.array(np.concatenate(out_q), pa.int64()),
-                "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
-                "sim_r": pa.array(np.concatenate(out_s), pa.float64()),
+                "query_vec_id": pa.array(
+                    np.repeat(qids, len(ids)), pa.int64()
+                ),
+                "vec_id": pa.array(np.tile(ids, len(qids)), pa.int64()),
+                "sim_r": pa.array(S.T.reshape(-1), pa.float64()),
             }
         )
 
@@ -968,26 +930,13 @@ def ann_cosine_topk_batch(
         emb_path, columns=["vec_id", "embedding"], filter=read_filter
     ).map_batches(score, batch_format="pyarrow")
 
-    def finalize(g: pa.Table) -> pa.Table:
-        order = np.lexsort(
-            (
-                g["vec_id"].to_numpy(zero_copy_only=False),
-                -g["sim_r"].to_numpy(zero_copy_only=False),
-            )
-        )[:k]
-        take = pa.array(order.astype(np.int64))
-        return pa.table(
-            {
-                "query_vec_id": g["query_vec_id"].take(take).cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(1, len(order) + 1, dtype=np.int64), pa.int64()
-                ),
-                "vec_id": g["vec_id"].take(take).cast(pa.int64()),
-            }
-        )
-
-    return cands.groupby("query_vec_id").map_groups(
-        finalize, batch_format="pyarrow"
+    return topk_per_key(
+        cands,
+        "query_vec_id",
+        [("sim_r", "descending"), ("vec_id", "ascending")],
+        k,
+        ["vec_id"],
+        rank="rank",
     )
 
 
@@ -1050,60 +999,44 @@ def events_latest_per_user(sf_dir: str) -> "ray.data.Dataset":
     """Latest event per user — argmax / "latest version wins" upsert
     semantics (the reference's exists→update couch sync,
     harvester/couchdb_sync_db_by_collection.py:62-88, and the solr doc
-    merge keyed by id). Combiner pattern: each batch forwards at most
-    ONE row per user (local argmax), so the groupby shuffles
-    O(users x batches) rows, never the event stream. Order rule:
+    merge keyed by id). topk_per_key with k = 1: its per-block
+    pre-prune forwards at most ONE row per user (local argmax), so the
+    groupby shuffles O(users x blocks) rows, never the event stream.
+    Order rule:
     ts DESC, event_id DESC (a total order per user).
 
     ts is emitted as epoch microseconds (BIGINT) so the cross-engine
     value hash is integer-exact; value is fixed-point 1e-4."""
 
-    _SORT = [("ts", "descending"), ("event_id", "descending")]
-
-    def local_latest(t: pa.Table) -> pa.Table:
-        t = t.sort_by([("user_id", "ascending")] + _SORT)
-        u = t["user_id"].to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return t
-        first = np.r_[True, u[1:] != u[:-1]]
-        return t.filter(pa.array(first))
-
-    def finalize(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=_SORT)[:1]
-        g = g.take(idx)
+    def fin(t: pa.Table) -> pa.Table:
+        value = t["value"].to_numpy(zero_copy_only=False).astype(np.float64)
         return pa.table(
             {
-                "user_id": g["user_id"].cast(pa.int64()),
-                "event_id": g["event_id"].cast(pa.int64()),
+                "user_id": t["user_id"],
+                "event_id": t["event_id"],
                 # epoch microseconds (BIGINT): cast through the typed
                 # timestamp so a [ns]-typed block cannot leak epoch ns
-                "ts_us": g["ts"]
-                .cast(pa.timestamp("us"))
-                .cast(pa.int64()),
-                "event_type": g["event_type"],
+                "ts_us": t["ts"].cast(pa.timestamp("us")).cast(pa.int64()),
+                "event_type": t["event_type"],
                 "value_r4": pa.array(
-                    np.floor(
-                        g["value"]
-                        .to_numpy(zero_copy_only=False)
-                        .astype(np.float64)
-                        * 10_000
-                        + 0.5
-                    ).astype(np.int64),
+                    np.floor(value * 10_000 + 0.5).astype(np.int64),
                     pa.int64(),
                 ),
             }
         )
 
-    return (
+    latest = topk_per_key(
         _read(
             sf_dir,
             "events",
             ["user_id", "event_id", "ts", "event_type", "value"],
-        )
-        .map_batches(local_latest, batch_format="pyarrow")
-        .groupby("user_id")
-        .map_groups(finalize, batch_format="pyarrow")
+        ),
+        "user_id",
+        [("ts", "descending"), ("event_id", "descending")],
+        1,
+        ["event_id", "ts", "event_type", "value"],
     )
+    return latest.map_batches(fin, batch_format="pyarrow")
 
 
 SOURCE_CAP = 50
@@ -1113,33 +1046,15 @@ def source_capped_sample(sf_dir: str) -> "ray.data.Dataset":
     """Per-source document cap: keep the first SOURCE_CAP docs of every
     `source` (doc_id ASC) — the per-domain cap every web-scale corpus
     pipeline applies so one crawl host cannot dominate training data.
-    Same combiner shape as top_orders_per_priority: a batch forwards at
-    most SOURCE_CAP rows per source, the final groupby re-caps, so the
-    shuffle moves O(cap x sources x batches) rows at 100 TB, never the
-    corpus."""
-
-    def local_cap(t: pa.Table) -> pa.Table:
-        t = t.sort_by([("source", "ascending"), ("doc_id", "ascending")])
-        s = t["source"].to_numpy(zero_copy_only=False)
-        if len(s) == 0:
-            return t.select(["source", "doc_id"])
-        change = np.r_[True, s[1:] != s[:-1]]
-        starts = np.flatnonzero(change)
-        seg = np.cumsum(change) - 1
-        pos = np.arange(len(s)) - starts[seg]
-        return t.filter(pa.array(pos < SOURCE_CAP)).select(
-            ["source", "doc_id"]
-        )
-
-    def finalize(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(g, sort_keys=[("doc_id", "ascending")])
-        return g.take(idx[:SOURCE_CAP]).select(["source", "doc_id"])
-
-    return (
-        _read(sf_dir, "documents", ["source", "doc_id"])
-        .map_batches(local_cap, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(finalize, batch_format="pyarrow")
+    topk_per_key without a rank column: its per-block pre-prune
+    forwards at most SOURCE_CAP rows per source, so the shuffle moves
+    O(cap x sources x blocks) rows at 100 TB, never the corpus."""
+    return topk_per_key(
+        _read(sf_dir, "documents", ["source", "doc_id"]),
+        "source",
+        [("doc_id", "ascending")],
+        SOURCE_CAP,
+        ["doc_id"],
     )
 
 

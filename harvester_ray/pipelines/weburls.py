@@ -31,6 +31,7 @@ from harvester_ray.functions.urls import (
     synth_snap_ts,
     synth_urls,
 )
+from harvester_ray.stages.topk import topk_per_key
 
 
 def _docs(sf_dir: str, columns: list[str]) -> "ray.data.Dataset":
@@ -1210,15 +1211,13 @@ def geo_radius_topk(sf_dir: str) -> "ray.data.Dataset":
     ASC). Output (query_id, rank, doc_id, dist2).
 
     Scale shape: coordinates synthesize in-map; each batch computes
-    the |batch| x |Q| squared-distance matrix (ints), applies the
-    radius predicate, and keeps k rows per query (lossless per-batch
-    per-query top-k under the total order), so the final query-keyed
-    groupby sees <= k x Q x batches rows — the ann_cosine_topk_batch
-    shape with an integer metric. A production layout would
-    hive-partition by coarse grid cell and prune probes to cells
-    intersecting the radius (the ann_lsh_topk pattern)."""
-
-    k = GEO_TOP_K
+    the |batch| x |Q| squared-distance matrix (ints) and applies the
+    radius predicate; topk_per_key's per-block pre-prune keeps k rows
+    per query (lossless under the total order), so the final
+    query-keyed groupby sees <= k x Q x blocks rows — the
+    ann_cosine_topk_batch shape with an integer metric. A production
+    layout would hive-partition by coarse grid cell and prune probes
+    to cells intersecting the radius (the ann_lsh_topk pattern)."""
 
     def score(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1227,15 +1226,9 @@ def geo_radius_topk(sf_dir: str) -> "ray.data.Dataset":
         for qid, qlat, qlon in GEO_QUERY_POINTS:
             dist2 = (lat - qlat) ** 2 + (lon - qlon) ** 2
             m = dist2 <= GEO_RADIUS2
-            cids, cd = ids[m], dist2[m]
-            take = (
-                np.lexsort((cids, cd))[:k]
-                if len(cids) > k
-                else np.arange(len(cids))
-            )
-            out_q.append(np.full(len(take), qid, np.int64))
-            out_d.append(cids[take])
-            out_s.append(cd[take])
+            out_q.append(np.full(int(m.sum()), qid, np.int64))
+            out_d.append(ids[m])
+            out_s.append(dist2[m])
         return pa.table(
             {
                 "query_id": pa.array(np.concatenate(out_q), pa.int64()),
@@ -1244,30 +1237,13 @@ def geo_radius_topk(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    def finalize(g: pa.Table) -> pa.Table:
-        order = np.lexsort(
-            (
-                g["doc_id"].to_numpy(zero_copy_only=False),
-                g["dist2"].to_numpy(zero_copy_only=False),
-            )
-        )[:k]
-        take = pa.array(order.astype(np.int64))
-        return pa.table(
-            {
-                "query_id": g["query_id"].take(take).cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(1, len(order) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": g["doc_id"].take(take).cast(pa.int64()),
-                "dist2": g["dist2"].take(take).cast(pa.int64()),
-            }
-        )
-
-    return (
-        _docs(sf_dir, ["doc_id"])
-        .map_batches(score, batch_format="pyarrow")
-        .groupby("query_id")
-        .map_groups(finalize, batch_format="pyarrow")
+    return topk_per_key(
+        _docs(sf_dir, ["doc_id"]).map_batches(score, batch_format="pyarrow"),
+        "query_id",
+        [("dist2", "ascending"), ("doc_id", "ascending")],
+        GEO_TOP_K,
+        ["doc_id", "dist2"],
+        rank="rank",
     )
 
 
@@ -1337,16 +1313,12 @@ def anchor_search_topk(sf_dir: str) -> "ray.data.Dataset":
     set IN the first map (the query set is a driver constant — the
     only thing broadcast), so the exact (doc, anchor) groupby moves
     only matching edges; the per-query expand is a map over that
-    dictionary-bounded table and the final (query, doc) groupby + the
-    per-block top-k prune move O(queries x K) rows."""
+    dictionary-bounded table and the final (query, doc) groupby +
+    topk_per_key's per-block prune move O(queries x K) rows."""
     from ray.data.aggregate import Sum
 
     from harvester_ray.functions.text import tokenize
-    from harvester_ray.pipelines.fulltext import (
-        TOP_K,
-        _per_block_topk,
-        queries_for_mode,
-    )
+    from harvester_ray.pipelines.fulltext import TOP_K, queries_for_mode
 
     n = _n_docs(sf_dir)
     qterms = [
@@ -1402,32 +1374,12 @@ def anchor_search_topk(sf_dir: str) -> "ray.data.Dataset":
         counted.map_batches(expand, batch_format="pyarrow")
         .groupby(["query_id", "doc_id"])
         .aggregate(Sum("hits", alias_name="hits"))
-        # per-block k-per-query prune so the grouped finalize shuffles
-        # O(queries x K) rows, not one row per anchored doc
-        .map_batches(
-            _per_block_topk(
-                [("hits", "descending"), ("doc_id", "ascending")], TOP_K
-            ),
-            batch_format="pyarrow",
-        )
     )
-
-    def finalize(g: pa.Table) -> pa.Table:
-        idx = pc.sort_indices(
-            g, sort_keys=[("hits", "descending"), ("doc_id", "ascending")]
-        )[:TOP_K]
-        g = g.take(idx)
-        return pa.table(
-            {
-                "query_id": g["query_id"].cast(pa.int64()),
-                "rank": pa.array(
-                    np.arange(1, len(g) + 1, dtype=np.int64), pa.int64()
-                ),
-                "doc_id": g["doc_id"].cast(pa.int64()),
-                "hits": g["hits"].cast(pa.int64()),
-            }
-        )
-
-    return summed.groupby("query_id").map_groups(
-        finalize, batch_format="pyarrow"
+    return topk_per_key(
+        summed,
+        "query_id",
+        [("hits", "descending"), ("doc_id", "ascending")],
+        TOP_K,
+        ["doc_id", "hits"],
+        rank="rank",
     )

@@ -1664,6 +1664,10 @@ def embedding_cosine_dups_blocked(
             batch_size=None,
             concurrency=stage_concurrency(),
         )
+        # coalesce the one-block-per-pair output first: Ray's sort
+        # shuffles into as many partitions as it has input blocks, so
+        # sorting B(B+1)/2 blocks directly makes O(B^4) shuffle pieces
+        .repartition(shuffle_partitions())
         .sort(["vec_id_a", "vec_id_b"])
     )
 

@@ -324,3 +324,42 @@ def test_ingest_delta_counts_empty_both_sides(ray_session):
     )
     counts = ingest_delta_counts(empty, empty)
     assert counts == {"added": 0, "changed": 0, "deleted": 0}
+
+
+def test_ingest_delta_counts_classifies_each_url(ray_session):
+    """Added, deleted, changed and unchanged urls, some repeated on one
+    side with the same hash (or, for the changed case, a second hash),
+    over several blocks — against the per-url set test."""
+    import ray.data
+
+    from harvester_ray.functions.text import hash64_bytes
+    from harvester_ray.pipelines.pages import ingest_delta_counts
+
+    old = [
+        ("same", b"s"), ("changed", b"c0"), ("deleted", b"d"),
+        ("dup_same", b"x"), ("dup_same", b"x"),
+        ("dup_deleted", b"y"), ("dup_deleted", b"y"),
+        ("dup_old_changed", b"p"), ("dup_old_changed", b"q"),
+    ]
+    new = [
+        ("same", b"s"), ("changed", b"c1"), ("added", b"a"),
+        ("dup_same", b"x"), ("dup_added", b"z"), ("dup_added", b"z"),
+        ("dup_old_changed", b"p"),
+    ]
+
+    def ds(rows):
+        return ray.data.from_items(
+            [{"url": u, "html": h} for u, h in rows],
+            override_num_blocks=3,
+        )
+
+    want = {"added": 0, "changed": 0, "deleted": 0}
+    for url in {u for u, _ in old + new}:
+        sides = {s for s, rows in ((0, old), (1, new))
+                 for u, _ in rows if u == url}
+        hashes = {hash64_bytes(h) for u, h in old + new if u == url}
+        want["added"] += sides == {1}
+        want["deleted"] += sides == {0}
+        want["changed"] += sides == {0, 1} and len(hashes) > 1
+    assert want == {"added": 2, "changed": 2, "deleted": 2}
+    assert ingest_delta_counts(ds(old), ds(new)) == want
