@@ -66,9 +66,9 @@ class IndexConfig:
     # (multi-MB html).
     spimi_batch_size: int = 32768
     extract_batch_size: int = 128
-    # autoscaling (min, max) actor pool: min=1 so concurrent stage
-    # executions can never deadlock waiting for a full fixed pool
-    extract_concurrency: int | tuple[int, int] = (1, 4)
+    # cap on concurrent extraction tasks (each fused with its parquet
+    # write); None leaves it to Ray Data
+    extract_concurrency: int | None = None
     # columns pruned at the read for the build (prune-at-the-read rule)
     doc_columns: tuple[str, ...] = ("doc_id", "text")
     # injectable analyzer (SURVEY.md §2.10): resolved via

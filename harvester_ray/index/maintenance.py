@@ -93,8 +93,6 @@ def delete_where(index_dir: str, docs_ds, predicate) -> int:
     """Delete-by-query (the reference's delete-by-collection analog):
     ``predicate`` is a pyarrow-batch -> boolean-mask callable applied to
     the doc source; matching doc_ids are tombstoned."""
-    import pyarrow.compute as pc  # noqa: F401
-
     ids: list[int] = []
     for batch in docs_ds.iter_batches(batch_format="pyarrow"):
         mask = predicate(batch)
@@ -281,7 +279,6 @@ def compact(docs_ds, index_dir: str, cfg=None) -> IndexPaths:
     appear in (scoped) tombstones, so this unscoped filter would drop
     their re-added versions — compact an upserted index by running
     ``build_index`` directly over the current corpus instead."""
-    import pyarrow.compute as pc
     import ray
 
     from harvester_ray.config import DEFAULT_INDEX_CONFIG
@@ -582,8 +579,6 @@ def verify_index(index_dir: str, max_terms: "int | None" = None) -> dict:
             )
             if t.num_rows == 0:
                 continue
-            import pandas as pd
-
             df = t.to_pandas().sort_values(
                 ["term_id", "salt", "block_id"], kind="stable"
             )

@@ -45,7 +45,7 @@ _BLOCK_DECODERS = {
     "for": bitpack_decode,
     "pfor": pfor_decode,
 }
-from harvester_ray.functions.text import get_analyzer, tokenize
+from harvester_ray.functions.text import get_analyzer
 from harvester_ray.index.build import bm25_score, string_terms
 
 import re

@@ -474,7 +474,6 @@ def more_like_this(sf_dir: str) -> pa.Table:
     runs through the same QueryActor pool as every other query entry."""
     import json as _json
 
-    import numpy as np
     import pyarrow.parquet as pq
 
     from harvester_ray.functions.text import tokenize
@@ -587,7 +586,6 @@ def search_facets(sf_dir: str) -> "ray.data.Dataset":
     runs on every search (SURVEY §2.6 facet counts), re-expressed as:
     _distinct_match_set → hash join onto the documents facet column →
     facet groupby. Both shuffles are corpus-scale-safe."""
-    from harvester_ray.config import shuffle_partitions
     from ray.data.aggregate import Count
 
     matches = _distinct_match_set(sf_dir)
@@ -754,8 +752,6 @@ def _query_joined_postings(
 
     def build() -> "ray.data.Dataset":
         import pyarrow.dataset as pads
-
-        from harvester_ray.config import shuffle_partitions
 
         post = ray.data.read_parquet(
             paths.postings,
@@ -1779,8 +1775,6 @@ def search_range_facets(sf_dir: str) -> "ray.data.Dataset":
     import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
-    from harvester_ray.config import shuffle_partitions
-
     matches = _distinct_match_set(sf_dir)
     joined = join_parquet_side(
         matches,
@@ -1922,8 +1916,6 @@ def search_pivot_facets(sf_dir: str) -> "ray.data.Dataset":
     (field, range, pivot, numFound, collapse) with the same
     match-set-join shape."""
     from ray.data.aggregate import Count
-
-    from harvester_ray.config import shuffle_partitions
 
     matches = _distinct_match_set(sf_dir)
     joined = join_parquet_side(
@@ -2509,8 +2501,6 @@ def search_field_stats(sf_dir: str) -> "ray.data.Dataset":
     are exact so the oracle hash-matches."""
     from ray.data.aggregate import Count, Max, Min, Sum
 
-    from harvester_ray.config import shuffle_partitions
-
     scored = _scored_match_set(sf_dir)
     joined = join_parquet_side(
         scored,
@@ -2551,8 +2541,6 @@ def grouped_search_topk(sf_dir: str) -> "ray.data.Dataset":
     Output (query_id, grp_rank, source, doc_rank, doc_id)."""
     import numpy as np
     import pyarrow.compute as pc
-
-    from harvester_ray.config import shuffle_partitions
 
     scored = _scored_match_set(sf_dir)
     joined = join_parquet_side(
@@ -2836,7 +2824,6 @@ def search_field_quantiles(sf_dir: str) -> "ray.data.Dataset":
     import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
-    from harvester_ray.config import shuffle_partitions
     from harvester_ray.pipelines.relational import QUANTILES_R4
 
     scored = _scored_match_set(sf_dir)
@@ -3199,8 +3186,6 @@ def facet_query_counts(sf_dir: str) -> "ray.data.Dataset":
     import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
-    from harvester_ray.config import shuffle_partitions
-
     matches = _distinct_match_set(sf_dir)
     joined = join_parquet_side(
         matches,
@@ -3359,8 +3344,6 @@ def expand_topk(sf_dir: str) -> "ray.data.Dataset":
     import numpy as np
     import pyarrow.compute as pc
 
-    from harvester_ray.config import shuffle_partitions
-
     scored = _scored_match_set(sf_dir)
     joined = join_parquet_side(
         scored,
@@ -3459,8 +3442,6 @@ def export_sorted(sf_dir: str) -> "ray.data.Dataset":
     import numpy as np
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
-
-    from harvester_ray.config import shuffle_partitions
 
     paths = index_for(sf_dir)
     matched = ray.data.read_parquet(

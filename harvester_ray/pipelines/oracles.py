@@ -425,7 +425,6 @@ def _collapse_sql() -> str:
     """Field collapsing: per-posting BM25 fixed-pointed at 1e-8 BEFORE
     the sum (integer sums are order-independent on both engines), top-1
     doc per (query, source), top-COLLAPSE_K groups per query."""
-    from harvester_ray.functions.text import tokenize
     from harvester_ray.pipelines.fulltext import COLLAPSE_K, _FP8
 
     values = _or_query_values()
@@ -1555,7 +1554,6 @@ def _filtered_sql() -> str:
     """Filtered search (Solr fq): the fixed-point scored match set
     (same integer-at-the-row rule as _collapse_sql) restricted to docs
     with lang = FILTER_LANG, then top-TOP_K per query."""
-    from harvester_ray.functions.text import tokenize
     from harvester_ray.pipelines.fulltext import FILTER_LANG, _FP8
 
     values = _or_query_values()
@@ -1597,8 +1595,6 @@ WILDCARD_SEARCH = _wildcard_sql()
 
 
 def _sort_by_field_sql() -> str:
-    from harvester_ray.functions.text import tokenize
-
     values = _or_query_values()
     return f"""
 WITH toks AS ({_TOKS}),
@@ -1805,8 +1801,6 @@ QUERY_LANGUAGE = _query_language_sql()
 
 
 def _match_set_cte() -> str:
-    from harvester_ray.functions.text import tokenize
-
     values = _or_query_values()
     return f"""
 WITH toks AS ({_TOKS}),
@@ -1885,7 +1879,6 @@ GROUP BY b.doc_id
 
 
 def _hybrid_rrf_sql() -> str:
-    from harvester_ray.functions.text import tokenize
     from harvester_ray.pipelines.fulltext import RRF_K, _RRF_FP
 
     values = _or_query_values()
@@ -1935,7 +1928,6 @@ HYBRID_RRF = _hybrid_rrf_sql()
 
 
 def _prf_rerank_sql() -> str:
-    from harvester_ray.functions.text import tokenize
     from harvester_ray.pipelines.fulltext import PRF_TOP
 
     values = _or_query_values()

@@ -1,12 +1,13 @@
 """The flagship pages pipeline: Common-Crawl-style pages → HTML
-extraction (actor pool, validate + reject counts) → inverted index →
-BM25 query set. The full north-star loop (fetch → transform/validate →
-index → query), with every stage checkpointed + resumable via
-state.lineage.
+extraction (stateless tasks, validate + reject counts) → inverted
+index → BM25 query set. The full north-star loop (fetch →
+transform/validate → index → query), with every stage checkpointed +
+resumable via state.lineage.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 from dataclasses import replace
@@ -33,6 +34,59 @@ def pages_corpus(n_pages: int = 500, seed: int = 42) -> str:
     return out
 
 
+def _extract_page_files(
+    pages_path: str, out_dir: str, cfg: IndexConfig
+) -> tuple[list[str], list[dict], str]:
+    """Extract every page file of ``pages_path`` (a sharded pages/ dir,
+    a single pages.parquet, or a direct file path) into
+    ``out_dir/extracted``, one partition per file. Per-partition
+    lineage: an interrupted or repeated run re-extracts only the
+    partitions whose outputs are missing or stale (north-rule resume).
+    Returns (page files, their lineage records, the extracted dir)."""
+    from harvester_ray.state.partitioned import run_partitioned_stage
+
+    shard_dir = os.path.join(pages_path, "pages")
+    if os.path.isdir(shard_dir):
+        page_files = sorted(glob.glob(os.path.join(shard_dir, "*.parquet")))
+    elif os.path.isdir(pages_path):
+        page_files = [os.path.join(pages_path, "pages.parquet")]
+    else:
+        page_files = [pages_path]
+
+    def extract_one(src: str, tmp: str) -> None:
+        # one read block per file (Ray would otherwise split even a
+        # small file into a block per CPU, one task each), and the write
+        # shares the extraction's task cap so the two fuse into one task
+        pages = ray.data.read_parquet(src, override_num_blocks=1)
+        extract_pages(
+            pages,
+            batch_size=cfg.extract_batch_size,
+            concurrency=cfg.extract_concurrency,
+        ).write_parquet(tmp, concurrency=cfg.extract_concurrency)
+
+    extracted_dir = os.path.join(out_dir, "extracted")
+    recs = run_partitioned_stage(
+        "extract", page_files, extracted_dir, extract_one,
+        params=f"extractor=v{ENGINE_VERSION}",
+    )
+    return page_files, recs, extracted_dir
+
+
+def _valid_docs(part_dirs: list[str]) -> "ray.data.Dataset":
+    """(doc_id, text) of the valid rows of extracted partitions."""
+    files = [
+        f for d in part_dirs for f in sorted(glob.glob(os.path.join(d, "*.parquet")))
+    ]
+    return ray.data.read_parquet(
+        files, columns=["doc_id", "text", "reject_reason"]
+    ).map_batches(
+        lambda t: t.filter(pc.is_null(t["reject_reason"])).select(
+            ["doc_id", "text"]
+        ),
+        batch_format="pyarrow",
+    )
+
+
 def build_pages_index(
     pages_path: str,
     out_dir: str,
@@ -41,45 +95,13 @@ def build_pages_index(
     """pages.parquet → extracted/ (checkpoint, with reject report) →
     index stages. Resume: unchanged input skips extraction AND the
     downstream index stages (their fingerprints chain)."""
-    import glob
-
-    from harvester_ray.state.partitioned import (
-        partition_outputs,
-        run_partitioned_stage,
-    )
+    from harvester_ray.state.partitioned import partition_outputs
 
     os.makedirs(out_dir, exist_ok=True)
-    extracted_dir = os.path.join(out_dir, "extracted")
-
-    # input partitions: a sharded pages/ dir, a single pages.parquet, or
-    # a direct file path
-    if os.path.isdir(pages_path):
-        shard_dir = os.path.join(pages_path, "pages")
-        if os.path.isdir(shard_dir):
-            page_files = sorted(glob.glob(os.path.join(shard_dir, "*.parquet")))
-        else:
-            page_files = [os.path.join(pages_path, "pages.parquet")]
-    else:
-        page_files = [pages_path]
-
-    def extract_one(src: str, tmp: str) -> None:
-        pages = ray.data.read_parquet(src)
-        extract_pages(
-            pages,
-            batch_size=cfg.extract_batch_size,
-            concurrency=cfg.extract_concurrency,
-        ).write_parquet(tmp)
-
-    # per-partition lineage: an interrupted run re-extracts only the
-    # partitions whose outputs are missing/stale (north-rule resume)
-    run_partitioned_stage(
-        "extract", page_files, extracted_dir, extract_one,
-        params=f"extractor=v{ENGINE_VERSION}",
-    )
+    _, _, extracted_dir = _extract_page_files(pages_path, out_dir, cfg)
+    parts = partition_outputs(extracted_dir)
     part_files = [
-        f
-        for d in partition_outputs(extracted_dir)
-        for f in sorted(glob.glob(os.path.join(d, "*.parquet")))
+        f for d in parts for f in sorted(glob.glob(os.path.join(d, "*.parquet")))
     ]
 
     # reject report (the reference's per-reason rejection counts,
@@ -97,16 +119,8 @@ def build_pages_index(
     with open(os.path.join(out_dir, "reject_report.json"), "w") as f:
         json.dump(dict(zip(rejects["reject_reason"], rejects["n"].astype(int))), f)
 
-    valid = ray.data.read_parquet(
-        part_files, columns=["doc_id", "text", "reject_reason"]
-    ).map_batches(
-        lambda t: t.filter(pc.is_null(t["reject_reason"])).select(
-            ["doc_id", "text"]
-        ),
-        batch_format="pyarrow",
-    )
     return build_index(
-        valid,
+        _valid_docs(parts),
         os.path.join(out_dir, "index"),
         cfg,
         input_fingerprint=dir_fingerprint(extracted_dir),
@@ -132,38 +146,11 @@ def update_pages_index(
     First call (no index yet) builds the base over everything. Changed
     (re-extracted) partitions are upserted via ``upsert_docs``.
     """
-    import glob
-
     from harvester_ray.index.maintenance import add_docs, upsert_docs
-    from harvester_ray.state.partitioned import (
-        partition_key,
-        partition_outputs,
-        run_partitioned_stage,
-    )
+    from harvester_ray.state.partitioned import partition_key, partition_outputs
 
     os.makedirs(out_dir, exist_ok=True)
-    extracted_dir = os.path.join(out_dir, "extracted")
-    if os.path.isdir(pages_path):
-        shard_dir = os.path.join(pages_path, "pages")
-        if os.path.isdir(shard_dir):
-            page_files = sorted(glob.glob(os.path.join(shard_dir, "*.parquet")))
-        else:
-            page_files = [os.path.join(pages_path, "pages.parquet")]
-    else:
-        page_files = [pages_path]
-
-    def extract_one(src: str, tmp: str) -> None:
-        pages = ray.data.read_parquet(src)
-        extract_pages(
-            pages,
-            batch_size=cfg.extract_batch_size,
-            concurrency=cfg.extract_concurrency,
-        ).write_parquet(tmp)
-
-    recs = run_partitioned_stage(
-        "extract", page_files, extracted_dir, extract_one,
-        params=f"extractor=v{ENGINE_VERSION}",
-    )
+    page_files, recs, extracted_dir = _extract_page_files(pages_path, out_dir, cfg)
     re_extracted = {
         partition_key(p)
         for p, r in zip(page_files, recs)
@@ -180,26 +167,9 @@ def update_pages_index(
     parts = partition_outputs(extracted_dir)
     by_key = {os.path.basename(p).removeprefix("part-"): p for p in parts}
 
-    def docs_of(part_dirs: list[str]):
-        import glob as _g
-
-        files = [
-            f
-            for d in part_dirs
-            for f in sorted(_g.glob(os.path.join(d, "*.parquet")))
-        ]
-        return ray.data.read_parquet(
-            files, columns=["doc_id", "text", "reject_reason"]
-        ).map_batches(
-            lambda t: t.filter(pc.is_null(t["reject_reason"])).select(
-                ["doc_id", "text"]
-            ),
-            batch_format="pyarrow",
-        )
-
     if not os.path.exists(os.path.join(idx_dir, "stats.json")):
         paths = build_index(
-            docs_of(parts), idx_dir, cfg,
+            _valid_docs(parts), idx_dir, cfg,
             input_fingerprint=dir_fingerprint(extracted_dir),
         )
         indexed = {k: "base" for k in by_key}
@@ -208,12 +178,12 @@ def update_pages_index(
         new_keys = [k for k in by_key if k not in indexed]
         changed_keys = [k for k in by_key if k in indexed and k in re_extracted]
         if new_keys:
-            paths = add_docs(idx_dir, docs_of([by_key[k] for k in new_keys]), cfg)
+            paths = add_docs(idx_dir, _valid_docs([by_key[k] for k in new_keys]), cfg)
             for k in new_keys:
                 indexed[k] = os.path.basename(paths.root)
         if changed_keys:
             paths = upsert_docs(
-                idx_dir, docs_of([by_key[k] for k in changed_keys]), cfg
+                idx_dir, _valid_docs([by_key[k] for k in changed_keys]), cfg
             )
             for k in changed_keys:
                 indexed[k] = os.path.basename(paths.root)
@@ -275,7 +245,7 @@ def pages_flagship(sf_dir: str | None = None, n_pages: int = 500) -> "ray.data.D
 def pages_bm25f(sf_dir: str | None = None, n_pages: int = 500) -> pa.Table:
     """(query_id, rank, doc_id) — BM25F over the REAL extracted fields
     of the pages corpus: <title> element content is the title field,
-    <h1>/<p> content the body (stages/extract.FieldedHtmlExtractor),
+    <h1>/<p> content the body (stages/extract.extract_fielded_batch),
     ranked title^2 + body through index/fielded.FieldedIndex. This is
     the reference's many-field index document end to end — fetch →
     fielded extract → per-field index → field-boosted search
@@ -301,7 +271,7 @@ def pages_bm25f(sf_dir: str | None = None, n_pages: int = 500) -> pa.Table:
         BM25F_W_BODY,
         BM25F_W_TITLE,
     )
-    from harvester_ray.stages.extract import FieldedHtmlExtractor
+    from harvester_ray.stages.extract import extract_fielded_batch
 
     corpus = pages_corpus(n_pages)
     main_paths = build_pages_index(
@@ -318,7 +288,7 @@ def pages_bm25f(sf_dir: str | None = None, n_pages: int = 500) -> pa.Table:
         ext = ray.data.read_parquet(
             os.path.join(corpus, "pages.parquet")
         ).map_batches(
-            FieldedHtmlExtractor,
+            extract_fielded_batch,
             batch_format="pyarrow",
             batch_size=DEFAULT_INDEX_CONFIG.extract_batch_size,
             concurrency=DEFAULT_INDEX_CONFIG.extract_concurrency,

@@ -25,9 +25,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
-from ray.data.aggregate import Count, Mean, Sum
+from ray.data.aggregate import Count, Sum
 
-from harvester_ray.config import shuffle_partitions
 from harvester_ray.functions.text import flatten_tokens, tokenize_column
 from harvester_ray.stages.topk import topk_per_key
 

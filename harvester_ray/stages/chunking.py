@@ -499,8 +499,6 @@ def dup_span_stats(sf_dir: str, span_l: int = SPAN_L) -> "ray.data.Dataset":
     bytes ~12× without changing any downstream stage."""
     from ray.data.aggregate import Count
 
-    from harvester_ray.config import shuffle_partitions
-
     occ = (
         ray.data.read_parquet(_docs_path(sf_dir), columns=["doc_id", "text"])
         .map_batches(_gram_stream(span_l), batch_format="pyarrow")

@@ -1,4 +1,4 @@
-"""HTML→text extraction: the stateful actor-pool stage.
+"""HTML→text extraction: a stateless per-batch function run as tasks.
 
 The new-engine analog of the reference's record→document transform
 (``map_couch_to_solr_doc``, harvester/solr_updater.py:688-745) plus its
@@ -13,10 +13,14 @@ document order, entities unescaped, joined by "\\n"; <script>/<style>
 content dropped. corpus.generate_pages emits HTML whose expected text
 follows exactly this spec, giving the golden byte-equality tests.
 
-Ray shape: ``pages.map_batches(HtmlExtractor, batch_format="pyarrow",
+Ray shape: ``pages.map_batches(extract_batch, batch_format="pyarrow",
 batch_size=cfg.extract_batch_size, concurrency=cfg.extract_concurrency)``
 — HTML rows are potentially MBs, so batches stay small and blocks stay
-zero-copy Arrow (SURVEY.md §7 hard parts (a),(f)).
+zero-copy Arrow (SURVEY.md §7 hard parts (a),(f)). The only state is a
+stdlib HTMLParser, built per batch, so the map runs as tasks on pooled
+workers and fuses with the parquet write after it. No actor holds a CPU
+that the read and write tasks need, so extraction makes progress on a
+one-CPU cluster.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ _SKIP_TAGS = frozenset({"script", "style"})
 
 
 class _TextExtractor(HTMLParser):
-    """Single-pass extractor; reset + feed per document (parser instance
-    reused across the actor's lifetime)."""
+    """Single-pass extractor; reset + feed per document (one instance
+    per batch)."""
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
@@ -93,60 +97,54 @@ class _TextExtractor(HTMLParser):
         return title, body
 
 
-class HtmlExtractor:
-    """Actor-pool extraction stage (the reference's ImageHarvester role:
-    heavy per-row fallible work with shared per-worker state,
-    harvester/image_harvest.py:168-211). Parser built once per actor.
+def _row_keys(batch: pa.Table) -> dict[str, pa.Array]:
+    """The (doc_id, url) columns every extracted table starts with."""
+    urls = batch["url"].to_pylist()
+    doc_ids = np.fromiter((hash64(u) for u in urls), np.int64, len(urls))
+    return {"doc_id": pa.array(doc_ids, pa.int64()), "url": pa.array(urls, pa.string())}
 
-    Output schema (FIXTURES.md §3 `extracted`):
-    (doc_id, url, text, lang, n_chars, reject_reason[null=valid]).
-    """
 
-    def __init__(self, require_lang: bool = True):
-        self.parser = _TextExtractor()
-        self.require_lang = require_lang
+def _reject(empty: bool, lang: str | None) -> str | None:
+    """The validation gate (has_required_fields): text, then language."""
+    if empty:
+        return REJECT_EMPTY_TEXT
+    return None if lang else REJECT_MISSING_LANG
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        texts = batch["text"].to_pylist()
-        htmls = batch["html"].to_pylist()
-        langs = batch["lang"].to_pylist()
-        out_text: list[str] = []
-        rejects: list[str | None] = []
-        for text, html, lang in zip(texts, htmls, langs):
-            if text is None:
-                text = self.parser.extract(html or b"")
-            reason = None
-            if not text:
-                reason = REJECT_EMPTY_TEXT
-            elif self.require_lang and not lang:
-                reason = REJECT_MISSING_LANG
-            out_text.append(text)
-            rejects.append(reason)
-        doc_ids = np.fromiter((hash64(u) for u in urls), np.int64, len(urls))
-        n_chars = np.fromiter((len(t) for t in out_text), np.int64, len(out_text))
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.int64()),
-                "url": pa.array(urls, pa.string()),
-                "text": pa.array(out_text, pa.large_string()),
-                "lang": pa.array(langs, pa.string()),
-                "n_chars": pa.array(n_chars, pa.int64()),
-                "reject_reason": pa.array(rejects, pa.string()),
-            }
-        )
+
+def extract_batch(batch: pa.Table) -> pa.Table:
+    """One batch of pages → (doc_id, url, text, lang, n_chars,
+    reject_reason[null=valid]) (FIXTURES.md §3 `extracted`). A plain
+    function: the parser is built per batch (microseconds), so the stage
+    runs as tasks, never as an actor pool."""
+    parser = _TextExtractor()
+    langs = batch["lang"].to_pylist()
+    out_text = [
+        parser.extract(html or b"") if text is None else text
+        for text, html in zip(batch["text"].to_pylist(), batch["html"].to_pylist())
+    ]
+    return pa.table(
+        {
+            **_row_keys(batch),
+            "text": pa.array(out_text, pa.large_string()),
+            "lang": pa.array(langs, pa.string()),
+            "n_chars": pa.array([len(t) for t in out_text], pa.int64()),
+            "reject_reason": pa.array(
+                [_reject(not t, lang) for t, lang in zip(out_text, langs)], pa.string()
+            ),
+        }
+    )
 
 
 def extract_pages(
     pages: "ray.data.Dataset",
     batch_size: int = 128,
-    concurrency=4,
+    concurrency: int | None = None,
 ) -> "ray.data.Dataset":
-    """pages (url, warc_ts, html, text, lang) → extracted table."""
-    import ray.data  # noqa: F401
-
+    """pages (url, warc_ts, html, text, lang) → extracted table, as
+    tasks. ``concurrency`` caps the concurrent extraction tasks (None:
+    Ray Data's default); a write given the same cap fuses into them."""
     return pages.map_batches(
-        HtmlExtractor,
+        extract_batch,
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
@@ -177,48 +175,30 @@ def split_valid(extracted: "ray.data.Dataset"):
     return valid, rejects
 
 
-class FieldedHtmlExtractor:
-    """Actor-pool MULTI-FIELD extraction: (doc_id, url, title, body,
-    lang, reject_reason) — the engine-side analog of the reference's
+def extract_fielded_batch(batch: pa.Table) -> pa.Table:
+    """MULTI-FIELD extraction: (doc_id, url, title, body, lang,
+    reject_reason) — the engine-side analog of the reference's
     many-field index document (title/description fields of
     map_couch_to_solr_doc, harvester/solr_updater.py:64-134). Rows
     arriving with pre-extracted ``text`` have no structure left, so
     they fall back to title="" / body=text (the reference's
-    fill_in_title 'Title unknown' default, :611-622)."""
-
-    def __init__(self, require_lang: bool = True):
-        self.parser = _TextExtractor()
-        self.require_lang = require_lang
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        texts = batch["text"].to_pylist()
-        htmls = batch["html"].to_pylist()
-        langs = batch["lang"].to_pylist()
-        out_title: list[str] = []
-        out_body: list[str] = []
-        rejects: list[str | None] = []
-        for text, html, lang in zip(texts, htmls, langs):
-            if text is None:
-                title, body = self.parser.extract_fielded(html or b"")
-            else:
-                title, body = "", text
-            reason = None
-            if not title and not body:
-                reason = REJECT_EMPTY_TEXT
-            elif self.require_lang and not lang:
-                reason = REJECT_MISSING_LANG
-            out_title.append(title)
-            out_body.append(body)
-            rejects.append(reason)
-        doc_ids = np.fromiter((hash64(u) for u in urls), np.int64, len(urls))
-        return pa.table(
-            {
-                "doc_id": pa.array(doc_ids, pa.int64()),
-                "url": pa.array(urls, pa.string()),
-                "title": pa.array(out_title, pa.large_string()),
-                "body": pa.array(out_body, pa.large_string()),
-                "lang": pa.array(langs, pa.string()),
-                "reject_reason": pa.array(rejects, pa.string()),
-            }
-        )
+    fill_in_title 'Title unknown' default, :611-622). A plain function,
+    like extract_batch."""
+    parser = _TextExtractor()
+    langs = batch["lang"].to_pylist()
+    fields = [
+        parser.extract_fielded(html or b"") if text is None else ("", text)
+        for text, html in zip(batch["text"].to_pylist(), batch["html"].to_pylist())
+    ]
+    return pa.table(
+        {
+            **_row_keys(batch),
+            "title": pa.array([t for t, _ in fields], pa.large_string()),
+            "body": pa.array([b for _, b in fields], pa.large_string()),
+            "lang": pa.array(langs, pa.string()),
+            "reject_reason": pa.array(
+                [_reject(not (t or b), lang) for (t, b), lang in zip(fields, langs)],
+                pa.string(),
+            ),
+        }
+    )

@@ -13,7 +13,7 @@ from harvester_ray.index.oracle import OracleIndex
 from harvester_ray.index.query import InvertedIndex
 from harvester_ray.stages.extract import (
     REJECT_EMPTY_TEXT,
-    HtmlExtractor,
+    extract_batch,
     extract_pages,
     split_valid,
 )
@@ -41,7 +41,7 @@ def test_extraction_byte_identity(pages_and_expected):
     """Every row's extracted text must equal the generator's expected
     text byte-for-byte — including all edge-case variants."""
     pages, expected = pages_and_expected
-    out = HtmlExtractor()(pages)
+    out = extract_batch(pages)
     got = out["text"].to_pylist()
     for i, (g, e) in enumerate(zip(got, expected)):
         assert g == e, f"row {i} (variant {'edge' if i % 20 == 19 else 'normal'})"
@@ -50,7 +50,7 @@ def test_extraction_byte_identity(pages_and_expected):
 def test_extraction_passthrough_identity(pages_and_expected):
     """Rows with non-null input text must pass through verbatim."""
     pages, expected = pages_and_expected
-    out = HtmlExtractor()(pages)
+    out = extract_batch(pages)
     texts_in = pages["text"].to_pylist()
     texts_out = out["text"].to_pylist()
     for tin, tout in zip(texts_in, texts_out):
@@ -60,7 +60,7 @@ def test_extraction_passthrough_identity(pages_and_expected):
 
 def test_extraction_doc_ids_stable(pages_and_expected):
     pages, _ = pages_and_expected
-    out = HtmlExtractor()(pages)
+    out = extract_batch(pages)
     for url, did in zip(out["url"].to_pylist(), out["doc_id"].to_pylist()):
         assert did == hash64(url)
 
@@ -94,7 +94,7 @@ def test_pages_end_to_end(tmp_path, ray_session):
     idx = InvertedIndex(paths.root, preload=True)
 
     # oracle over the same valid docs
-    out = HtmlExtractor()(pages)
+    out = extract_batch(pages)
     rows = [
         (d, t)
         for d, t, l in zip(
@@ -162,7 +162,7 @@ def test_fielded_extractor_actor_schema(ray_session):
     import pyarrow as pa
     import ray.data
 
-    from harvester_ray.stages.extract import FieldedHtmlExtractor
+    from harvester_ray.stages.extract import extract_fielded_batch
 
     pages = pa.table(
         {
@@ -177,7 +177,7 @@ def test_fielded_extractor_actor_schema(ray_session):
     out = (
         ray.data.from_arrow(pages)
         .map_batches(
-            FieldedHtmlExtractor, batch_format="pyarrow", concurrency=2
+            extract_fielded_batch, batch_format="pyarrow", concurrency=2
         )
         .to_pandas()
         .set_index("url")

@@ -15,13 +15,13 @@ from harvester_ray.config import IndexConfig
 from harvester_ray.corpus import generate_pages
 from harvester_ray.index.build import build_index
 from harvester_ray.index.query import InvertedIndex, _TermBlocks
-from harvester_ray.stages.extract import HtmlExtractor
+from harvester_ray.stages.extract import extract_batch
 
 
 @pytest.fixture(scope="module")
 def zipf_index(tmp_path_factory, ray_session):
     pages, _ = generate_pages(2000)
-    extracted = HtmlExtractor()(pages)
+    extracted = extract_batch(pages)
     import pyarrow as pa
 
     docs = ray.data.from_arrow(
