@@ -5,7 +5,7 @@ A from-scratch re-expression of the capabilities of ucldc/harvester
 Ray Data pipeline over Arrow batches:
 
 - ``corpus``            deterministic synthetic web-page corpus (FIXTURES.md)
-- ``stages.extract``    HTML→text extraction actor pool (the reference's
+- ``stages.extract``    HTML→text extraction tasks (the reference's
                         record→document transform, harvester/solr_updater.py:688)
 - ``stages.tokenize``   normalize/tokenize/doc-stats (harvester/solr_updater.py:561)
 - ``index.build``       SPIMI postings hive-partitioned by term bucket →

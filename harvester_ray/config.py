@@ -90,29 +90,6 @@ class IndexConfig:
 DEFAULT_INDEX_CONFIG = IndexConfig()
 
 
-def stage_concurrency(
-    divisor: int = 4, lo: int = 1, hi: int | None = None
-) -> tuple[int, int]:
-    """Autoscaling actor-pool bounds derived from the cluster CPU count
-    (never hard-code pool sizes: a fixed (2, 8) that fits a laptop
-    starves a 32-CPU node and any real cluster). ``divisor`` is the
-    fraction of cluster CPUs the stage may claim at peak."""
-    try:
-        import ray
-
-        cpus = (
-            int(ray.cluster_resources().get("CPU", 0))
-            if ray.is_initialized()
-            else 0
-        )
-    except Exception:
-        cpus = 0
-    top = max(2, (cpus or 8) // divisor)
-    if hi is not None:
-        top = min(top, hi)
-    return (lo, max(lo, top))
-
-
 def cluster_cpus(default: int = 8) -> int:
     """Cluster CPU count (or ``default`` before ray.init)."""
     try:

@@ -9,9 +9,10 @@ never a Ray-level shuffle. Three execution paths, all rank-identical:
 - ``wand``        Block-Max WAND: document-at-a-time with per-term and
   per-block score upper bounds; skips blocks that cannot enter the
   top-k (the north-star pruning algorithm)
-- batch evaluation: ``QueryActor`` as a ``map_batches`` callable class
-  over a query table (stateful actor-pool stage — the analog of the
-  reference's per-run Solr connection, harvester/solr_updater.py:838).
+- batch evaluation: ``QueryActor`` over a query table (the stateful
+  stage: a resident actor pool in the pipelines, a ``map_batches``
+  actor pool in the CLI — the analog of the reference's per-run Solr
+  connection, harvester/solr_updater.py:838).
 
 Ranking rule (shared with the DuckDB oracle SQL): order by
 round(score, 6) DESC, doc_id ASC, take k. Rounding makes
@@ -1382,10 +1383,12 @@ class _WandCursor:
 
 
 class QueryActor:
-    """Actor-pool batch query evaluation:
-    ``queries_ds.map_batches(QueryActor, fn_constructor_args=(index_dir,),
-    concurrency=N, batch_format="pyarrow")``.
-    The index loads ONCE per actor in __init__ (stateful-stage rule)."""
+    """Batch query evaluation, the one stateful batch shape: the index
+    loads ONCE per actor in __init__. The pipelines keep a resident pool
+    of these (pipelines/fulltext._query_pool); the CLI streams a query
+    log of any size through ``queries_ds.map_batches(QueryActor,
+    fn_constructor_args=(index_dir,), concurrency=N,
+    batch_format="pyarrow")``."""
 
     def __init__(
         self,

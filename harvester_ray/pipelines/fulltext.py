@@ -15,7 +15,7 @@ import os
 import pyarrow as pa
 import ray.data
 
-from harvester_ray.config import DEFAULT_INDEX_CONFIG, stage_concurrency
+from harvester_ray.config import DEFAULT_INDEX_CONFIG
 from harvester_ray.index.build import ENGINE_VERSION, IndexPaths, build_index
 from harvester_ray.index.query import QueryActor
 from harvester_ray.stages.joins import join_parquet_side
@@ -177,20 +177,18 @@ def doc_stats(sf_dir: str) -> "ray.data.Dataset":
     )
 
 
-# Long-lived serving actors per (index root, pool config) — a real
-# serving tier keeps its query actors RESIDENT across requests, so the
-# per-actor index load (the stateful-stage __init__) amortizes over the
-# query stream instead of repeating per entry. Bounded LRU; evicted
-# pools are killed. The key folds in the index's stats/deltas mtimes so
-# an in-process upsert/compaction refreshes the pool instead of serving
-# stale state.
+# Long-lived serving actors per (index root, pool config): the one
+# stateful batch shape of the pipelines. A serving tier keeps its query
+# actors RESIDENT across requests, so the per-actor index load amortizes
+# over the query stream instead of repeating per entry; every pipeline
+# query set (each 200 rows or fewer) goes through it. Bounded LRU;
+# evicted pools are killed. The key folds in the index's stats/deltas
+# mtimes so an in-process upsert/compaction refreshes the pool instead
+# of serving stale state. A query LOG of any size streams through the
+# CLI's map_batches(QueryActor) pool instead (cli.cmd_query_batch).
 _SERVE_POOL: "dict[tuple, list]" = {}
 _SERVE_POOL_MAX = 6
 _SERVE_POOL_SIZE = 2
-# query batches at or under this row count route to the resident pool;
-# larger streams (a real query LOG) go through the autoscaling
-# map_batches pool, which is the right shape for sustained load
-_SERVE_POOL_ROWS = 512
 
 
 def _serving_pool(cls, root: str, **ctor_kwargs) -> list:
@@ -244,26 +242,14 @@ def _query_pool(
     keep_score: bool = False,
     as_of: "int | None" = None,
 ) -> "ray.data.Dataset":
-    """The shared QueryActor-pool stage every ranked entry runs:
-    ``items`` (list of dicts or a typed Arrow table with query_id /
+    """The shared resident QueryActor-pool stage every ranked entry
+    runs: ``items`` (list of dicts or a typed Arrow table with query_id /
     query [/ mode / exclude / after_*]) -> (query_id, rank, doc_id
-    [, score]). Pool sizing and the typed re-emit live HERE so page-1,
+    [, score]). The pool and the typed re-emit live HERE so page-1,
     page-2, expansions and NOT queries cannot drift apart."""
-
-    def emit(t: pa.Table) -> pa.Table:
-        cols = {
-            "query_id": t["query_id"],
-            "rank": t["rank"].cast(pa.int64()),
-            "doc_id": t["doc_id"],
-        }
-        if keep_score:
-            cols["score"] = t["score"]
-        return pa.table(cols)
-
-    tbl = items if isinstance(items, pa.Table) else (
-        pa.Table.from_pylist(items) if items else None
-    )
-    if tbl is not None and tbl.num_rows <= _SERVE_POOL_ROWS:
+    tbl = items if isinstance(items, pa.Table) else pa.Table.from_pylist(items)
+    out_t = None
+    if tbl.num_rows:
         pool = _serving_pool(
             QueryActor,
             paths.root,
@@ -273,41 +259,23 @@ def _query_pool(
             as_of=as_of,
         )
         out_t = _pool_eval(pool, tbl)
-        if out_t is None:  # typed empty
-            out_t = pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    "rank": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                }
-                | (
-                    {"score": pa.array([], pa.float64())}
-                    if keep_score
-                    else {}
-                )
-            )
-            return ray.data.from_arrow(out_t)
-        return ray.data.from_arrow(emit(out_t))
-
-    ds = (
-        ray.data.from_arrow(items)
-        if isinstance(items, pa.Table)
-        else ray.data.from_items(items)
-    )
-    out = ds.map_batches(
-        QueryActor,
-        fn_constructor_args=(paths.root,),
-        fn_constructor_kwargs={
-            "k": k, "algorithm": algorithm, "scorer": scorer,
-            "as_of": as_of,
-        },
-        batch_format="pyarrow",
-        # cluster-derived pool bounds (a hard-coded 2 starves a 32-CPU
-        # node; the driver query set is small, so cap the pool too)
-        concurrency=stage_concurrency(divisor=4, hi=8),
-        batch_size=8,
-    )
-    return out.map_batches(emit, batch_format="pyarrow")
+    if out_t is None:  # typed empty, QueryActor's output schema
+        out_t = pa.schema(
+            [
+                ("query_id", pa.int64()),
+                ("rank", pa.int32()),
+                ("doc_id", pa.int64()),
+                ("score", pa.float64()),
+            ]
+        ).empty_table()
+    cols = {
+        "query_id": out_t["query_id"],
+        "rank": out_t["rank"].cast(pa.int64()),
+        "doc_id": out_t["doc_id"],
+    }
+    if keep_score:
+        cols["score"] = out_t["score"]
+    return ray.data.from_arrow(pa.table(cols))
 
 
 def _bm25(
@@ -413,16 +381,6 @@ def _ranked_for_expansions(
         {"query_id": qid, "query": " ".join(sorted(set(ts))), "mode": "or"}
         for qid, ts in sorted(by_q.items())
     ]
-    if not items:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    "rank": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                }
-            )
-        )
     return _query_pool(paths, items)
 
 
@@ -1139,28 +1097,11 @@ def bm25_topk_or_incremental(sf_dir: str) -> "ray.data.Dataset":
     """Reference query set served from base+delta — must match the
     full-corpus BM25_TOPK_OR oracle rank for rank."""
     paths = index_for_incremental(sf_dir)
-    qs = queries_for_mode("or")
-    queries_ds = ray.data.from_items(
-        [{"query_id": qid, "query": q, "mode": "or"} for qid, q in qs]
-    )
-    out = queries_ds.map_batches(
-        QueryActor,
-        fn_constructor_args=(paths.root,),
-        fn_constructor_kwargs={"k": TOP_K},
-        batch_format="pyarrow",
-        concurrency=stage_concurrency(divisor=4, hi=8),
-        batch_size=8,
-    )
-    return out.map_batches(
-        lambda t: pa.table(
-            {
-                "query_id": t["query_id"],
-                "rank": t["rank"].cast(pa.int64()),
-                "doc_id": t["doc_id"],
-            }
-        ),
-        batch_format="pyarrow",
-    )
+    items = [
+        {"query_id": qid, "query": q, "mode": "or"}
+        for qid, q in queries_for_mode("or")
+    ]
+    return _query_pool(paths, items)
 
 
 def bm25_topk_or_sharded(sf_dir: str, n_shards: int = 4) -> "object":
@@ -1444,16 +1385,11 @@ def passage_topk(sf_dir: str) -> pa.Table:
     max_chunks = int(per_doc.max("count()"))
     kprime = TOP_K * max_chunks
     qs = queries_for_mode("or")
-    queries_ds = ray.data.from_items(
-        [{"query_id": qid, "query": q, "mode": "or"} for qid, q in qs]
-    )
-    hits = queries_ds.map_batches(
-        QueryActor,
-        fn_constructor_args=(paths.root,),
-        fn_constructor_kwargs={"k": kprime},
-        batch_format="pyarrow",
-        concurrency=stage_concurrency(divisor=4, hi=8),
-        batch_size=8,
+    hits = _query_pool(
+        paths,
+        [{"query_id": qid, "query": q, "mode": "or"} for qid, q in qs],
+        k=kprime,
+        keep_score=True,
     ).take_all()  # <= |queries| * k' rows — the top-k scatter-gather tail
     if not hits:
         return pa.table(

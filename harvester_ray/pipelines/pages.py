@@ -14,12 +14,13 @@ from dataclasses import replace
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 from harvester_ray.config import DEFAULT_INDEX_CONFIG, IndexConfig
 from harvester_ray.corpus import write_corpus
 from harvester_ray.index.build import ENGINE_VERSION, IndexPaths, build_index
-from harvester_ray.index.query import QueryActor
+from harvester_ray.pipelines.fulltext import _query_pool
 from harvester_ray.stages.extract import extract_pages
 from harvester_ray.state.lineage import dir_fingerprint
 
@@ -221,24 +222,8 @@ def pages_flagship(sf_dir: str | None = None, n_pages: int = 500) -> "ray.data.D
     corpus = pages_corpus(n_pages)
     out_dir = os.path.join(CACHE_ROOT, f"pages_idx_{n_pages}_v{ENGINE_VERSION}")
     paths = build_pages_index(corpus, out_dir)
-    queries_ds = ray.data.read_parquet(os.path.join(corpus, "queries.parquet"))
-    out = queries_ds.map_batches(
-        QueryActor,
-        fn_constructor_args=(paths.root,),
-        fn_constructor_kwargs={"k": 10},
-        batch_format="pyarrow",
-        concurrency=2,
-        batch_size=32,
-    )
-    return out.map_batches(
-        lambda t: pa.table(
-            {
-                "query_id": t["query_id"],
-                "rank": t["rank"].cast(pa.int64()),
-                "doc_id": t["doc_id"],
-            }
-        ),
-        batch_format="pyarrow",
+    return _query_pool(
+        paths, pq.read_table(os.path.join(corpus, "queries.parquet")), k=10
     )
 
 
@@ -355,7 +340,6 @@ def recrawl_corpus(n_pages: int = 500, seed: int = 42) -> str:
     shape a real Common-Crawl dump has for the same url across
     crawls. Cached on disk like pages_corpus."""
     import numpy as np
-    import pyarrow.parquet as pq
 
     base = pages_corpus(n_pages, seed)
     out = os.path.join(CACHE_ROOT, f"recrawl_{n_pages}_s{seed}")
@@ -749,13 +733,12 @@ def pages_recrawl_sync(
     inputs (skipped by lineage) and returns the same rows. Parity with
     a from-scratch rebuild over the resolved corpus is pinned in
     tests/test_update_pages.py. Fixture-scale note: the resolved shard
-    is written as ONE deterministic file (take_all at n<=500 rows); at
+    is written as ONE deterministic file (the resolved Arrow blocks
+    concatenated on the driver at n<=500 rows); at
     scale the re-crawl source writes hash-partitioned shards with
     stable names, exactly like the engine's partitioned layouts.
     Returns (query_id, rank, doc_id) — rows-only driver check."""
     import shutil
-
-    import pyarrow.parquet as pq
 
     rc = recrawl_corpus(n_pages)
     base = pages_corpus(n_pages)
@@ -778,10 +761,19 @@ def pages_recrawl_sync(
     resolved = latest_snapshot(
         ray.data.read_parquet(os.path.join(rc, "pages.parquet"))
     )
-    t = pa.Table.from_pylist(
-        resolved.take_all(),
-        schema=pq.read_schema(os.path.join(base, "pages.parquet")),
-    ).sort_by("url")
+    schema = pq.read_schema(os.path.join(base, "pages.parquet"))
+    t = (
+        pa.concat_tables(
+            [schema.empty_table()]
+            + [
+                b.select(schema.names).cast(schema)
+                for b in ray.get(resolved.to_arrow_refs())
+                if b.num_rows
+            ]
+        )
+        .sort_by("url")
+        .combine_chunks()
+    )
     tmp = shard + f".tmp-{os.getpid()}"
     pq.write_table(t, tmp, row_group_size=2048)
     # rewrite only on real content change: lineage fingerprints are
@@ -807,24 +799,6 @@ def pages_recrawl_sync(
         os.replace(tmp, shard)
     paths = update_pages_index(input_dir, out_dir, cfg)  # upsert + compact
 
-    queries_ds = ray.data.read_parquet(
-        os.path.join(base, "queries.parquet")
-    )
-    out = queries_ds.map_batches(
-        QueryActor,
-        fn_constructor_args=(paths.root,),
-        fn_constructor_kwargs={"k": 10},
-        batch_format="pyarrow",
-        concurrency=2,
-        batch_size=32,
-    )
-    return out.map_batches(
-        lambda t: pa.table(
-            {
-                "query_id": t["query_id"],
-                "rank": t["rank"].cast(pa.int64()),
-                "doc_id": t["doc_id"],
-            }
-        ),
-        batch_format="pyarrow",
+    return _query_pool(
+        paths, pq.read_table(os.path.join(base, "queries.parquet")), k=10
     )

@@ -43,7 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from harvester_ray.config import shuffle_partitions, stage_concurrency
+from harvester_ray.config import shuffle_partitions
 from harvester_ray.functions.text import (
     flatten_tokens,
     hash64_array,
@@ -1523,8 +1523,7 @@ def embedding_cosine_dups(
     )
 
 
-EMB_BLOCKS = 8          # block grid side: B(B+1)/2 pair tasks
-_EMB_BLOCK_CACHE = 3    # blocks an actor keeps resident (LRU)
+EMB_BLOCKS = 8          # block grid side: B(B+1)/2 block pairs
 
 
 def _emb_block_layout(sf_dir: str, n_blocks: int) -> str:
@@ -1566,75 +1565,65 @@ def _emb_block_layout(sf_dir: str, n_blocks: int) -> str:
     return out
 
 
-class _BlockPairScorer:
-    """Actor-pool stage: one input row = one (bi, bj) block pair.
-    Loads each block from the hive layout at most once per recent
-    window (_EMB_BLOCK_CACHE-deep LRU, so actor memory is bounded by a
-    few blocks, never the corpus), computes the exact cosine matrix
-    for the pair, and emits every pair >= tau in both orientations
-    (cross blocks carry a<b pairs in either matrix triangle). The
-    scalar association dot/(norm_a*norm_b) and the fixed-point-6
-    threshold are identical to embedding_cosine_dups, so the same
-    DuckDB oracle gates both."""
+def _load_emb_block(layout: str, k: int):
+    """(ids, vectors, norms) of block ``k`` of the hive layout."""
+    import pyarrow.dataset as pads
 
-    def __init__(self, layout: str, tau_fp: int):
-        self.layout = layout
-        self.tau_fp = tau_fp
-        self._cache: dict[int, tuple] = {}
+    t = pads.dataset(layout, partitioning="hive").to_table(
+        filter=pads.field("block") == k,
+        columns=["vec_id", "embedding"],
+    )
+    ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    if len(ids) == 0:  # residue class with no vectors
+        return ids, np.empty((0, 0), np.float64), ids.astype(np.float64)
+    A = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
+    n = np.sqrt((A * A).sum(axis=1))
+    n[n == 0] = 1.0
+    return ids, A, n
 
-    def _load(self, k: int):
-        got = self._cache.pop(k, None)
-        if got is None:
-            import pyarrow.dataset as pads
 
-            t = pads.dataset(self.layout, partitioning="hive").to_table(
-                filter=pads.field("block") == k,
-                columns=["vec_id", "embedding"],
-            )
-            ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            if len(ids) == 0:  # residue class with no vectors
-                got = (ids, np.empty((0, 0), np.float64), ids.astype(np.float64))
-            else:
-                A = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
-                n = np.sqrt((A * A).sum(axis=1))
-                n[n == 0] = 1.0
-                got = (ids, A, n)
-        self._cache[k] = got  # re-insert = most recently used
-        while len(self._cache) > _EMB_BLOCK_CACHE:
-            self._cache.pop(next(iter(self._cache)))
-        return got
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        out_a, out_b, out_s = [], [], []
-        for bi, bj in zip(t["bi"].to_pylist(), t["bj"].to_pylist()):
-            ia, Aa, na = self._load(int(bi))
-            ib, Ab, nb = self._load(int(bj))
-            if len(ia) == 0 or len(ib) == 0:
-                continue
-            S = _fixed6((Aa @ Ab.T) / (na[:, None] * nb[None, :]))
-            hit = S >= self.tau_fp
-            mask = hit & (ia[:, None] < ib[None, :])
+def _block_pair_rows(t: pa.Table, layout: str, tau_fp: int) -> pa.Table:
+    """Stateless task over one block of pair rows, all sharing one
+    ``bi``: loads block bi once, then each (bi, bj) row's block bj in
+    turn (task memory is bounded by two blocks, never the corpus),
+    computes the exact cosine matrix for the pair, and emits every pair
+    >= tau in both orientations (cross blocks carry a<b pairs in either
+    matrix triangle). The scalar association dot/(norm_a*norm_b) and the
+    fixed-point-6 threshold are identical to embedding_cosine_dups, so
+    the same DuckDB oracle gates both."""
+    out_a, out_b, out_s = [], [], []
+    cur_bi = block_i = None
+    for bi, bj in zip(t["bi"].to_pylist(), t["bj"].to_pylist()):
+        if bi != cur_bi:
+            cur_bi, block_i = bi, _load_emb_block(layout, bi)
+        ia, Aa, na = block_i
+        ib, Ab, nb = block_i if bj == bi else _load_emb_block(layout, bj)
+        if len(ia) == 0 or len(ib) == 0:
+            continue
+        S = _fixed6((Aa @ Ab.T) / (na[:, None] * nb[None, :]))
+        hit = S >= tau_fp
+        mask = hit & (ia[:, None] < ib[None, :])
+        ri, rj = np.nonzero(mask)
+        out_a.append(ia[ri]), out_b.append(ib[rj])
+        out_s.append(S[ri, rj])
+        if bi != bj:
+            # cross-block pairs whose smaller id sits on the j side
+            # — dot and norm products are argument-commutative
+            # bit-exactly, so no recompute is needed
+            mask = hit & (ib[None, :] < ia[:, None])
             ri, rj = np.nonzero(mask)
-            out_a.append(ia[ri]), out_b.append(ib[rj])
+            out_a.append(ib[rj]), out_b.append(ia[ri])
             out_s.append(S[ri, rj])
-            if bi != bj:
-                # cross-block pairs whose smaller id sits on the j side
-                # — dot and norm products are argument-commutative
-                # bit-exactly, so no recompute is needed
-                mask = hit & (ib[None, :] < ia[:, None])
-                ri, rj = np.nonzero(mask)
-                out_a.append(ib[rj]), out_b.append(ia[ri])
-                out_s.append(S[ri, rj])
-        cat = lambda xs: (  # noqa: E731
-            np.concatenate(xs) if xs else np.empty(0, np.int64)
-        )
-        return pa.table(
-            {
-                "vec_id_a": pa.array(cat(out_a), pa.int64()),
-                "vec_id_b": pa.array(cat(out_b), pa.int64()),
-                "sim_r6": pa.array(cat(out_s), pa.int64()),
-            }
-        )
+    cat = lambda xs: (  # noqa: E731
+        np.concatenate(xs) if xs else np.empty(0, np.int64)
+    )
+    return pa.table(
+        {
+            "vec_id_a": pa.array(cat(out_a), pa.int64()),
+            "vec_id_b": pa.array(cat(out_b), pa.int64()),
+            "sim_r6": pa.array(cat(out_s), pa.int64()),
+        }
+    )
 
 
 def embedding_cosine_dups_blocked(
@@ -1650,73 +1639,73 @@ def embedding_cosine_dups_blocked(
     sim_r6 >= tau fixed-point-6), a < b."""
     layout = _emb_block_layout(sf_dir, n_blocks)
     tau_fp = int(round(tau * 1_000_000))
-    items = [
-        {"bi": i, "bj": j}
-        for i in range(n_blocks)
-        for j in range(i, n_blocks)
-    ]
-    pairs_ds = ray.data.from_items(items, override_num_blocks=len(items))
+    # one Dataset block per bi: a task reads block bi once, then each bj
+    pairs_ds = ray.data.from_arrow(
+        [
+            pa.table(
+                {
+                    "bi": pa.array([i] * (n_blocks - i), pa.int64()),
+                    "bj": pa.array(range(i, n_blocks), pa.int64()),
+                }
+            )
+            for i in range(n_blocks)
+        ]
+    )
     return (
         pairs_ds.map_batches(
-            _BlockPairScorer,
-            fn_constructor_args=(layout, tau_fp),
+            _block_pair_rows,
+            fn_args=(layout, tau_fp),
             batch_format="pyarrow",
             batch_size=None,
-            concurrency=stage_concurrency(),
         )
-        # coalesce the one-block-per-pair output first: Ray's sort
+        # coalesce the one-block-per-bi output first: Ray's sort
         # shuffles into as many partitions as it has input blocks, so
-        # sorting B(B+1)/2 blocks directly makes O(B^4) shuffle pieces
+        # sorting B blocks directly makes O(B^2) shuffle pieces
         .repartition(shuffle_partitions())
         .sort(["vec_id_a", "vec_id_b"])
     )
 
 
-class _EmbLshExploder:
-    """Actor-pool stage: each embedding row explodes into
-    EMB_LSH_TABLES (table_id, bucket) rows carrying the normalized
-    vector as a fixed-width float64 blob (planes drawn once per
-    actor, seeded)."""
-
-    def __init__(self, dim: int, parts: int):
-        rng = np.random.default_rng(EMB_LSH_SEED)
-        self.planes = rng.standard_normal((EMB_LSH_TABLES, EMB_LSH_BITS, dim))
-        self._pow = 1 << np.arange(EMB_LSH_BITS, dtype=np.int64)
-        self.parts = parts
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        ids = t["vec_id"].to_numpy(zero_copy_only=False)
-        E = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
-        n = len(ids)
-        norms = np.linalg.norm(E, axis=1)
-        norms[norms == 0] = 1.0
-        V = E / norms[:, None]
-        # (tables x bits x dim) . (n x dim) -> bits per table
-        bits = np.einsum("tbd,nd->ntb", self.planes, V) > 0
-        buckets = (bits * self._pow[None, None, :]).sum(axis=2)  # n x T
-        T = EMB_LSH_TABLES
-        table_id = np.tile(np.arange(T, dtype=np.int32), n)
-        bucket = buckets.reshape(-1)
-        return pa.table(
-            {
-                "table_id": pa.array(table_id),
-                "bucket": pa.array(bucket, pa.int64()),
-                "vec_id": pa.array(np.repeat(ids, T), pa.int64()),
-                "vec": pa.array(
-                    np.repeat(
-                        np.frombuffer(
-                            V.tobytes(), dtype=np.dtype((np.void, V.shape[1] * 8))
-                        ),
-                        T,
-                    ).tolist(),
-                    pa.binary(),
-                ),
-                "_part": pa.array(
-                    _part_of(bucket ^ table_id.astype(np.int64), self.parts),
-                    pa.int64(),
-                ),
-            }
-        )
+def _emb_lsh_explode(t: pa.Table, dim: int, parts: int) -> pa.Table:
+    """Stateless task: each embedding row explodes into EMB_LSH_TABLES
+    (table_id, bucket) rows carrying the normalized vector as a
+    fixed-width float64 blob (seeded planes redrawn per batch)."""
+    planes = np.random.default_rng(EMB_LSH_SEED).standard_normal(
+        (EMB_LSH_TABLES, EMB_LSH_BITS, dim)
+    )
+    ids = t["vec_id"].to_numpy(zero_copy_only=False)
+    E = np.asarray(t["embedding"].to_pylist(), dtype=np.float64)
+    n = len(ids)
+    norms = np.linalg.norm(E, axis=1)
+    norms[norms == 0] = 1.0
+    V = E / norms[:, None]
+    # (tables x bits x dim) . (n x dim) -> bits per table
+    bits = np.einsum("tbd,nd->ntb", planes, V) > 0
+    pow2 = 1 << np.arange(EMB_LSH_BITS, dtype=np.int64)
+    buckets = (bits * pow2[None, None, :]).sum(axis=2)  # n x T
+    T = EMB_LSH_TABLES
+    table_id = np.tile(np.arange(T, dtype=np.int32), n)
+    bucket = buckets.reshape(-1)
+    return pa.table(
+        {
+            "table_id": pa.array(table_id),
+            "bucket": pa.array(bucket, pa.int64()),
+            "vec_id": pa.array(np.repeat(ids, T), pa.int64()),
+            "vec": pa.array(
+                np.repeat(
+                    np.frombuffer(
+                        V.tobytes(), dtype=np.dtype((np.void, V.shape[1] * 8))
+                    ),
+                    T,
+                ).tolist(),
+                pa.binary(),
+            ),
+            "_part": pa.array(
+                _part_of(bucket ^ table_id.astype(np.int64), parts),
+                pa.int64(),
+            ),
+        }
+    )
 
 
 _EMPTY_SIM = pa.table(
@@ -1775,11 +1764,10 @@ def embedding_lsh_dups(
     rows = ray.data.read_parquet(
         emb_path, columns=["vec_id", "embedding"]
     ).map_batches(
-        _EmbLshExploder,
-        fn_constructor_args=(dim, parts),
+        _emb_lsh_explode,
+        fn_args=(dim, parts),
         batch_format="pyarrow",
         batch_size=1024,
-        concurrency=stage_concurrency(),
     )
     inner = _emb_bucket_pairs(tau)
 
@@ -1818,6 +1806,24 @@ def embedding_lsh_dups(
     )
 
 
+def _multi_probe_rows(
+    batch: pa.Table, centroids: np.ndarray, p: int
+) -> pa.Table:
+    """Stateless task: each vector re-emitted once per probed cluster
+    (its ``p`` nearest centroids)."""
+    E = np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
+    d2 = (centroids**2).sum(axis=1)[None, :] - 2.0 * (E @ centroids.T)
+    near = np.argsort(d2, axis=1, kind="stable")[:, :p]
+    rep = pa.array(np.repeat(np.arange(len(batch)), p), pa.int64())
+    return pa.table(
+        {
+            "vec_id": batch["vec_id"].take(rep),
+            "embedding": batch["embedding"].take(rep),
+            "list_id": pa.array(near.ravel().astype(np.int64), pa.int64()),
+        }
+    )
+
+
 SEMDEDUP_PROBES = 4  # clusters each vector joins (multi-probe recall fix)
 
 
@@ -1839,8 +1845,8 @@ def semdedup_pairs(
     twin.
 
     Shuffle shape: the cached IVF layout's centroids assign clusters
-    in one streaming matmul pass (centroids via ray.put once, actor
-    state in __init__), then ONE list_id groupby, a vectorized
+    in one streaming matmul pass (stateless tasks, the centroids passed
+    as a task argument), then ONE list_id groupby, a vectorized
     in-cluster upper-triangle cosine per group, and the pair-dedupe
     groupby (same-pair copies from different probes carry identical
     sims) — no all-pairs stage, no driver materialization; cluster
@@ -1848,52 +1854,22 @@ def semdedup_pairs(
     uses k ∝ N)."""
     import pyarrow.parquet as pq
 
-    from harvester_ray.config import stage_concurrency
     from harvester_ray.stages.similarity import ivf_layout
 
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
     layout = ivf_layout(sf_dir)
     cen = pq.read_table(os.path.join(layout, "_centroids.parquet"))
     centroids = np.asarray(cen["centroid"].to_pylist(), dtype=np.float64)
-    cen_ref = ray.put(centroids)
     tau_fp = int(round(tau * 1_000_000))
     p = min(probes, len(centroids))
-
-    class MultiProbeAssign:
-        """Actor-pool stage: each vector re-emitted once per probed
-        cluster (its p nearest centroids)."""
-
-        def __init__(self):
-            self.centroids = ray.get(cen_ref)
-            self._c2 = (self.centroids**2).sum(axis=1)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            E = np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
-            d2 = self._c2[None, :] - 2.0 * (E @ self.centroids.T)
-            near = np.argsort(d2, axis=1, kind="stable")[:, :p]
-            n = len(batch)
-            rep = np.repeat(np.arange(n), p)
-            return pa.table(
-                {
-                    "vec_id": batch["vec_id"].take(
-                        pa.array(rep, pa.int64())
-                    ),
-                    "embedding": batch["embedding"].take(
-                        pa.array(rep, pa.int64())
-                    ),
-                    "list_id": pa.array(
-                        near.ravel().astype(np.int64), pa.int64()
-                    ),
-                }
-            )
 
     rows = ray.data.read_parquet(
         emb_path, columns=["vec_id", "embedding"]
     ).map_batches(
-        MultiProbeAssign,
+        _multi_probe_rows,
+        fn_args=(centroids, p),
         batch_format="pyarrow",
         batch_size=1024,
-        concurrency=stage_concurrency(),
     )
 
     def cluster_pairs(g: pa.Table) -> pa.Table:

@@ -4,15 +4,16 @@ The reference never stores binary media on the record — images are
 fetched, md5-keyed and stashed to S3 with only (object md5, dimensions)
 written back (harvester/image_harvest.py:106-165,222-232). This module
 reproduces that shape for a training-data pipeline: media as an opaque
-``binary`` column + typed metadata, processed by an actor-pool decode /
-feature-extract stage with small batches (binary rows are large).
+``binary`` column + typed metadata, processed by a stateless decode /
+feature-extract task stage with small batches (binary rows are large).
 
-``RealDecoder`` decodes images through PIL when it is importable
-(optional dependency); in this container the libs are absent, so
-``default_decoder()`` auto-selects ``FakeDecoder`` (a deterministic
-byte-statistics "decoder" sharing the exact output schema). The
-Ray-side plumbing — schema, batch sizing, actor signature, output
-layout — is identical either way and tested with the fake.
+``pil_decode_batch`` decodes images through PIL when it is importable
+(optional dependency); without it ``default_decoder()`` auto-selects
+``stdlib_png_decode_batch`` (real baseline-PNG pixel decoding, byte
+statistics for everything else), and ``fake_decode_batch`` is the
+byte-statistics "decoder" sharing the exact output schema. The
+Ray-side plumbing — schema, batch sizing, batch-function signature,
+output layout — is identical for all three.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import os
 import numpy as np
 import pyarrow as pa
 import ray.data
-
-from harvester_ray.config import stage_concurrency
 
 try:  # optional dependency: real image decode path
     from PIL import Image as _PILImage
@@ -69,40 +68,40 @@ def _byte_features(payload: bytes, dim: int) -> tuple[int, int, int, list]:
     return h - (1 << 63), 64 + h % 512, 64 + (h >> 16) % 512, feats
 
 
-class FakeDecoder:
+def _decode_rows(batch: pa.Table, decode_one, feature_dim: int) -> pa.Table:
+    """The shared decode-stage body: ``decode_one(media_type, payload,
+    feature_dim) -> (payload_hash, width, height, features)`` per row,
+    one fixed output schema for every decoder."""
+    dims_w, dims_h, feats, hashes, sizes = [], [], [], [], []
+    for mt, payload in zip(
+        batch["media_type"].to_pylist(), batch["payload"].to_pylist()
+    ):
+        payload = payload or b""
+        h, w, ht, f = decode_one(mt or "", payload, feature_dim)
+        hashes.append(h)
+        dims_w.append(w)
+        dims_h.append(ht)
+        feats.append(f)
+        sizes.append(len(payload))
+    return pa.table(
+        {
+            "doc_id": batch["doc_id"],
+            "media_type": batch["media_type"],
+            "n_bytes": pa.array(sizes, pa.int64()),
+            "payload_hash": pa.array(hashes, pa.int64()),
+            "width": pa.array(dims_w, pa.int64()),
+            "height": pa.array(dims_h, pa.int64()),
+            "features": pa.array(feats, pa.list_(pa.float64())),
+        }
+    )
+
+
+def fake_decode_batch(batch: pa.Table, feature_dim: int = 8) -> pa.Table:
     """Deterministic stand-in decoder: emits byte-statistics 'features'
-    with the same output schema the real decoder would produce.
-    Actor-pool stage — state (the 'model') loads once per actor."""
-
-    def __init__(self, feature_dim: int = 8):
-        self.feature_dim = feature_dim
-
-    def _decode_one(self, media_type: str, payload: bytes):
-        return _byte_features(payload, self.feature_dim)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        dims_w, dims_h, feats, hashes, sizes = [], [], [], [], []
-        for mt, payload in zip(
-            batch["media_type"].to_pylist(), batch["payload"].to_pylist()
-        ):
-            payload = payload or b""
-            h, w, ht, f = self._decode_one(mt or "", payload)
-            hashes.append(h)
-            dims_w.append(w)
-            dims_h.append(ht)
-            feats.append(f)
-            sizes.append(len(payload))
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "media_type": batch["media_type"],
-                "n_bytes": pa.array(sizes, pa.int64()),
-                "payload_hash": pa.array(hashes, pa.int64()),
-                "width": pa.array(dims_w, pa.int64()),
-                "height": pa.array(dims_h, pa.int64()),
-                "features": pa.array(feats, pa.list_(pa.float64())),
-            }
-        )
+    with the same output schema the real decoders produce."""
+    return _decode_rows(
+        batch, lambda mt, payload, dim: _byte_features(payload, dim), feature_dim
+    )
 
 
 # --- stdlib baseline-PNG codec (zlib + scanline filters) ------------------
@@ -201,7 +200,7 @@ def png_decode(data: bytes) -> tuple[int, int, np.ndarray]:
     None/Up/Sub rows unfilter vectorized; Average/Paeth rows are
     inherently sequential in x and run a per-pixel Python loop — fine
     for gate-scale synthetic images, a real high-volume PNG workload
-    should run under PIL (RealDecoder), which default_decoder()
+    should run under PIL (pil_decode_batch), which default_decoder()
     prefers whenever importable."""
     import struct
     import zlib as _zlib
@@ -283,91 +282,89 @@ def png_decode(data: bytes) -> tuple[int, int, np.ndarray]:
     return int(w), int(h), out.reshape(h, w, ch)
 
 
-class StdlibPngDecoder(FakeDecoder):
-    """RealDecoder fallback without PIL: actual pixel decoding for
-    baseline PNGs via the stdlib codec above (width, height, grid-mean
-    features over the greyscale flatten); non-image media and
-    undecodable payloads fall back to byte statistics so the output
-    schema never changes."""
-
-    def _decode_one(self, media_type: str, payload: bytes):
-        if not media_type.startswith("image/"):
-            return _byte_features(payload, self.feature_dim)
-        try:
-            w, h, px = png_decode(payload)
-        except Exception:
-            return _byte_features(payload, self.feature_dim)
-        gray = px.astype(np.float64).mean(axis=2).reshape(-1)
-        chunks = np.array_split(gray, self.feature_dim)
-        feats = [
-            round(float(c.mean()) / 255.0, 6) if len(c) else 0.0
-            for c in chunks
-        ]
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        ph = int.from_bytes(digest, "big") - (1 << 63)
-        return ph, int(w), int(h), feats
+def _png_one(media_type: str, payload: bytes, dim: int):
+    if not media_type.startswith("image/"):
+        return _byte_features(payload, dim)
+    try:
+        w, h, px = png_decode(payload)
+    except Exception:
+        return _byte_features(payload, dim)
+    gray = px.astype(np.float64).mean(axis=2).reshape(-1)
+    chunks = np.array_split(gray, dim)
+    feats = [
+        round(float(c.mean()) / 255.0, 6) if len(c) else 0.0 for c in chunks
+    ]
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    ph = int.from_bytes(digest, "big") - (1 << 63)
+    return ph, int(w), int(h), feats
 
 
-class RealDecoder(FakeDecoder):
+def stdlib_png_decode_batch(batch: pa.Table, feature_dim: int = 8) -> pa.Table:
+    """The decode stage without PIL: actual pixel decoding for baseline
+    PNGs via the stdlib codec above (width, height, grid-mean features
+    over the greyscale flatten); non-image media and undecodable
+    payloads fall back to byte statistics so the output schema never
+    changes."""
+    return _decode_rows(batch, _png_one, feature_dim)
+
+
+def _pil_one(media_type: str, payload: bytes, dim: int):
+    if not media_type.startswith("image/"):
+        return _byte_features(payload, dim)
+    try:
+        img = _PILImage.open(io.BytesIO(payload))
+        w, h = img.size
+        gray = np.asarray(
+            img.convert("L").resize((dim, 1)), dtype=np.float64
+        ).reshape(-1)
+    except Exception:
+        return _byte_features(payload, dim)
+    digest = hashlib.blake2b(payload, digest_size=8).digest()
+    ph = int.from_bytes(digest, "big") - (1 << 63)
+    feats = [round(float(v) / 255.0, 6) for v in gray]
+    return ph, int(w), int(h), feats
+
+
+def pil_decode_batch(batch: pa.Table, feature_dim: int = 8) -> pa.Table:
     """The production decode stage: images decode through PIL (width,
     height, grayscale grid-mean features); non-image media and
     undecodable payloads fall back to the byte-statistics features so
     the output schema never changes. Requires the optional PIL
     dependency — ``default_decoder()`` auto-selects."""
-
-    def __init__(self, feature_dim: int = 8):
-        if _PILImage is None:
-            raise NotImplementedError(
-                "PIL is not available in this environment; "
-                "default_decoder() falls back to FakeDecoder"
-            )
-        super().__init__(feature_dim)
-
-    def _decode_one(self, media_type: str, payload: bytes):
-        if not media_type.startswith("image/"):
-            return _byte_features(payload, self.feature_dim)
-        try:
-            img = _PILImage.open(io.BytesIO(payload))
-            w, h = img.size
-            gray = np.asarray(
-                img.convert("L").resize((self.feature_dim, 1)),
-                dtype=np.float64,
-            ).reshape(-1)
-        except Exception:
-            return _byte_features(payload, self.feature_dim)
-        digest = hashlib.blake2b(payload, digest_size=8).digest()
-        ph = int.from_bytes(digest, "big") - (1 << 63)
-        feats = [round(float(v) / 255.0, 6) for v in gray]
-        return ph, int(w), int(h), feats
+    if _PILImage is None:
+        raise NotImplementedError(
+            "PIL is not available in this environment; "
+            "default_decoder() falls back to stdlib_png_decode_batch"
+        )
+    return _decode_rows(batch, _pil_one, feature_dim)
 
 
-def default_decoder() -> type:
-    """RealDecoder when PIL is importable, the stdlib PNG decoder
-    otherwise — same constructor signature and output schema either
-    way (non-PNG payloads take the byte-statistics fallback)."""
-    return StdlibPngDecoder if _PILImage is None else RealDecoder
+def default_decoder():
+    """pil_decode_batch when PIL is importable, the stdlib PNG decoder
+    otherwise — same signature and output schema either way (non-PNG
+    payloads take the byte-statistics fallback)."""
+    return stdlib_png_decode_batch if _PILImage is None else pil_decode_batch
 
 
 def multimodal_features(sf_dir: str) -> "ray.data.Dataset":
     """The end-to-end multimodal plumbing pipeline: synthesize payloads
-    → actor-pool decode (small batches: binary rows are wide) →
+    → stateless decode tasks (small batches: binary rows are wide) →
     feature rows. Rows-only correctness (no SQL analog)."""
     payloads = synthesize_payloads(sf_dir)
     return payloads.map_batches(
         default_decoder(),
         batch_format="pyarrow",
         batch_size=64,       # wide binary rows -> small batches
-        concurrency=stage_concurrency(),
     )
 
 
 def multimodal_meta(sf_dir: str) -> "ray.data.Dataset":
     """The DuckDB-oracled twin of ``multimodal_features``: the SAME
-    synthesize → actor-pool decode pipeline, projected to the columns
+    synthesize → decode-task pipeline, projected to the columns
     with an exact SQL analog (media type routing + payload byte size —
     the (md5, dimensions) metadata shape image_harvest.py writes back,
-    harvester/image_harvest.py:106-165). Proves the actor plumbing
-    (constructor state, batch size, schema) under the value-hash gate;
+    harvester/image_harvest.py:106-165). Proves the decode plumbing
+    (batch size, schema) under the value-hash gate;
     the hash/feature columns stay rows-only in multimodal_features."""
     return multimodal_features(sf_dir).map_batches(
         lambda t: t.select(["doc_id", "media_type", "n_bytes"]),
@@ -419,40 +416,40 @@ def synthesize_png_payloads(sf_dir: str) -> "ray.data.Dataset":
     ).map_batches(make, batch_format="pyarrow")
 
 
+def png_stats_batch(batch: pa.Table) -> pa.Table:
+    """Stateless task: (doc_id, width, height, px_sum, n_px) per
+    decoded PNG payload."""
+    ws, hs, sums, ns = [], [], [], []
+    for payload in batch["payload"].to_pylist():
+        w, h, px = png_decode(payload)
+        ws.append(w)
+        hs.append(h)
+        sums.append(int(px.astype(np.int64).sum()))
+        ns.append(int(px.size))
+    return pa.table(
+        {
+            "doc_id": batch["doc_id"],
+            "width": pa.array(ws, pa.int64()),
+            "height": pa.array(hs, pa.int64()),
+            "px_sum": pa.array(sums, pa.int64()),
+            "n_px": pa.array(ns, pa.int64()),
+        }
+    )
+
+
 def png_image_stats(sf_dir: str) -> "ray.data.Dataset":
     """REAL image decoding under the gate (rows-only; golden pytest in
-    tests/test_multimodal_png.py): synthesize valid PNGs → actor-pool
+    tests/test_multimodal_png.py): synthesize valid PNGs → stateless
     stdlib decode (zlib inflate + full scanline unfiltering) →
     (doc_id, width, height, px_sum, n_px) with px_sum the exact
     integer sum of every decoded component — any pixel error anywhere
     changes the row. Reference analog: image_harvest.py fetches,
     content-probes and records image dimensions
     (harvester/image_harvest.py:106-165)."""
-
-    class PngStats:
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ws, hs, sums, ns = [], [], [], []
-            for payload in batch["payload"].to_pylist():
-                w, h, px = png_decode(payload)
-                ws.append(w)
-                hs.append(h)
-                sums.append(int(px.astype(np.int64).sum()))
-                ns.append(int(px.size))
-            return pa.table(
-                {
-                    "doc_id": batch["doc_id"],
-                    "width": pa.array(ws, pa.int64()),
-                    "height": pa.array(hs, pa.int64()),
-                    "px_sum": pa.array(sums, pa.int64()),
-                    "n_px": pa.array(ns, pa.int64()),
-                }
-            )
-
     return synthesize_png_payloads(sf_dir).map_batches(
-        PngStats,
+        png_stats_batch,
         batch_format="pyarrow",
         batch_size=64,       # wide binary rows -> small batches
-        concurrency=stage_concurrency(),
     )
 
 
@@ -462,67 +459,59 @@ FRAME_BYTES = 32
 FRAME_STRIDE = 3
 
 
-class FrameSampler:
-    """Frame-sampling actor stage for video payloads: split the opaque
-    payload into fixed-size frames, keep every ``stride``-th one, emit
-    one row per sampled frame — the 1→N explode a video pipeline runs
-    before per-frame feature extraction. The "decode" is the
-    deterministic fixed-window rule (no video libs in this container)
-    but the plumbing — actor state in __init__, small wide-row batches,
-    explode output layout — is the production shape.
+def frame_sample_batch(
+    batch: pa.Table, frame_bytes: int = FRAME_BYTES, stride: int = FRAME_STRIDE
+) -> pa.Table:
+    """Frame-sampling task for video payloads: split the opaque payload
+    into fixed-size frames, keep every ``stride``-th one, emit one row
+    per sampled frame — the 1→N explode a video pipeline runs before
+    per-frame feature extraction. The "decode" is the deterministic
+    fixed-window rule (no video libs in this container) but the
+    plumbing — small wide-row batches, explode output layout — is the
+    production shape.
     """
-
-    def __init__(self, frame_bytes: int = FRAME_BYTES,
-                 stride: int = FRAME_STRIDE):
-        self.frame_bytes = frame_bytes
-        self.stride = stride
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids, idxs, totals, md5s = [], [], [], []
-        fb = self.frame_bytes
-        for did, mt, payload in zip(
-            batch["doc_id"].to_pylist(),
-            batch["media_type"].to_pylist(),
-            batch["payload"].to_pylist(),
-        ):
-            if not (mt or "").startswith("video/") or not payload:
-                continue
-            n_frames = (len(payload) + fb - 1) // fb
-            for i in range(0, n_frames, self.stride):
-                ids.append(did)
-                idxs.append(i)
-                totals.append(n_frames)
-                # fingerprint = md5 of the frame's UPPERCASE HEX: hex
-                # is injective, so this pins the exact frame BYTES
-                # while staying SQL-expressible for any payload
-                # (DuckDB md5 takes VARCHAR only — raw-blob md5 would
-                # silently force an ascii-text assumption on the twin)
-                md5s.append(
-                    hashlib.md5(
-                        payload[i * fb:(i + 1) * fb].hex().upper().encode()
-                    ).hexdigest()
-                )
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "frame_idx": pa.array(idxs, pa.int64()),
-                "n_frames": pa.array(totals, pa.int64()),
-                "frame_md5": pa.array(md5s, pa.string()),
-            }
-        )
+    ids, idxs, totals, md5s = [], [], [], []
+    fb = frame_bytes
+    for did, mt, payload in zip(
+        batch["doc_id"].to_pylist(),
+        batch["media_type"].to_pylist(),
+        batch["payload"].to_pylist(),
+    ):
+        if not (mt or "").startswith("video/") or not payload:
+            continue
+        n_frames = (len(payload) + fb - 1) // fb
+        for i in range(0, n_frames, stride):
+            ids.append(did)
+            idxs.append(i)
+            totals.append(n_frames)
+            # fingerprint = md5 of the frame's UPPERCASE HEX: hex is
+            # injective, so this pins the exact frame BYTES while
+            # staying SQL-expressible for any payload (DuckDB md5 takes
+            # VARCHAR only — raw-blob md5 would silently force an
+            # ascii-text assumption on the twin)
+            md5s.append(
+                hashlib.md5(
+                    payload[i * fb:(i + 1) * fb].hex().upper().encode()
+                ).hexdigest()
+            )
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, pa.int64()),
+            "frame_idx": pa.array(idxs, pa.int64()),
+            "n_frames": pa.array(totals, pa.int64()),
+            "frame_md5": pa.array(md5s, pa.string()),
+        }
+    )
 
 
 def frame_sample(sf_dir: str) -> "ray.data.Dataset":
     """Sampled-frame rows for every video-typed payload:
-    (doc_id, frame_idx, n_frames, frame_md5). Actor-pool explode with
+    (doc_id, frame_idx, n_frames, frame_md5). Stateless-task explode with
     small batches (wide binary rows); frame content is pinned by
     md5-of-hex so the window/stride arithmetic AND the sliced bytes sit
     under the value-hash gate for ANY payload bytes (the SQL twin
     slices to_hex(encode(text)) — exact byte windows even when a frame
     boundary splits a multi-byte character)."""
     return synthesize_payloads(sf_dir).map_batches(
-        FrameSampler,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=stage_concurrency(),
+        frame_sample_batch, batch_format="pyarrow", batch_size=64
     )

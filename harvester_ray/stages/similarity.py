@@ -25,8 +25,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
-from harvester_ray.config import stage_concurrency
-
 LSH_BITS = 8
 LSH_SEED = 42
 ANN_QUERY_VEC_ID = 0
@@ -44,17 +42,13 @@ def _bucket_of(vecs: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return (bits * (1 << np.arange(LSH_BITS))).sum(axis=1).astype(np.int64)
 
 
-class LshBucketer:
-    """Actor-pool stage: hyperplanes drawn once per actor (seeded)."""
-
-    def __init__(self, dim: int):
-        self.planes = _hyperplanes(dim)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        E = np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
-        return batch.append_column(
-            "bucket", pa.array(_bucket_of(E, self.planes), pa.int64())
-        )
+def lsh_bucket_batch(batch: pa.Table, dim: int) -> pa.Table:
+    """Stateless task: append each row's sign-random-projection bucket
+    (the seeded hyperplanes are redrawn per batch — microseconds)."""
+    E = np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
+    return batch.append_column(
+        "bucket", pa.array(_bucket_of(E, _hyperplanes(dim)), pa.int64())
+    )
 
 
 def _emb_dim(emb_path: str) -> int:
@@ -109,12 +103,7 @@ def bucketed_layout(sf_dir: str) -> str:
     def write(tmp: str) -> None:
         (
             ray.data.read_parquet(emb_path, columns=["vec_id", "embedding"])
-            .map_batches(
-                LshBucketer,
-                fn_constructor_args=(dim,),
-                batch_format="pyarrow",
-                concurrency=stage_concurrency(),
-            )
+            .map_batches(lsh_bucket_batch, fn_args=(dim,), batch_format="pyarrow")
             .write_parquet(tmp, partition_cols=["bucket"])
         )
 
@@ -200,20 +189,14 @@ def _kmeans(sample: np.ndarray, k: int, iters: int, seed: int) -> np.ndarray:
     return centroids
 
 
-class IvfAssigner:
-    """Actor-pool stage: centroids held per actor; per batch one
-    (rows x lists) distance matmul assigns the nearest list."""
-
-    def __init__(self, centroids: np.ndarray):
-        self.centroids = centroids
-        self._c2 = (centroids**2).sum(axis=1)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        E = np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
-        d2 = self._c2[None, :] - 2.0 * (E @ self.centroids.T)
-        return batch.append_column(
-            "list_id", pa.array(d2.argmin(axis=1).astype(np.int64))
-        )
+def ivf_assign_batch(batch: pa.Table, centroids: np.ndarray) -> pa.Table:
+    """Stateless task: one (rows x lists) distance matmul per batch
+    appends each row's nearest-centroid ``list_id``."""
+    E = np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
+    d2 = (centroids**2).sum(axis=1)[None, :] - 2.0 * (E @ centroids.T)
+    return batch.append_column(
+        "list_id", pa.array(d2.argmin(axis=1).astype(np.int64))
+    )
 
 
 def ivf_layout(sf_dir: str) -> str:
@@ -231,8 +214,6 @@ def ivf_layout(sf_dir: str) -> str:
     out = os.path.join(CACHE_ROOT, f"emb_ivf_{key}")
 
     def write(tmp: str) -> None:
-        import ray
-
         pf = pq.ParquetFile(emb_path)
         sample_rows = []
         need = IVF_TRAIN_ROWS
@@ -263,18 +244,10 @@ def ivf_layout(sf_dir: str) -> str:
             ),
             os.path.join(tmp, "_centroids.parquet"),
         )
-        cen_ref = ray.put(centroids)
-
-        class Assign(IvfAssigner):
-            def __init__(self):
-                super().__init__(ray.get(cen_ref))
-
         (
             ray.data.read_parquet(emb_path, columns=["vec_id", "embedding"])
             .map_batches(
-                Assign,
-                batch_format="pyarrow",
-                concurrency=stage_concurrency(),
+                ivf_assign_batch, fn_args=(centroids,), batch_format="pyarrow"
             )
             .write_parquet(tmp, partition_cols=["list_id"])
         )
@@ -381,41 +354,34 @@ PQC_ITERS = 10
 PQC_RERANK = 64      # ADC candidates re-ranked with exact vectors
 
 
-class PqEncoder:
-    """Actor-pool encode stage: per-subspace codebooks held per actor;
-    per batch, normalize rows and argmin each subvector against its
+def pq_encode_batch(batch: pa.Table, codebooks: np.ndarray) -> pa.Table:
+    """Stateless encode task: with the (M, K, dsub) per-subspace
+    codebooks, normalize each row and argmin each subvector against its
     codebook — one (rows x PQC_K) distance matmul per subspace."""
-
-    def __init__(self, codebooks: np.ndarray):
-        self.codebooks = codebooks  # (M, K, dsub)
-        self._c2 = (codebooks**2).sum(axis=2)  # (M, K)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            cols = {"vec_id": pa.array([], pa.int64())}
-            for m in range(PQC_M):
-                cols[f"c{m}"] = pa.array([], pa.uint8())
-            return pa.table(cols)
-        E = np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
-        norms = np.linalg.norm(E, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        E = E / norms
-        m_sub = E.shape[1] // PQC_M
-        cols = {"vec_id": batch["vec_id"]}
+    if len(batch) == 0:
+        cols = {"vec_id": pa.array([], pa.int64())}
         for m in range(PQC_M):
-            X = E[:, m * m_sub : (m + 1) * m_sub]
-            d2 = self._c2[m][None, :] - 2.0 * (X @ self.codebooks[m].T)
-            cols[f"c{m}"] = pa.array(
-                d2.argmin(axis=1).astype(np.uint8), pa.uint8()
-            )
+            cols[f"c{m}"] = pa.array([], pa.uint8())
         return pa.table(cols)
+    c2 = (codebooks**2).sum(axis=2)  # (M, K)
+    E = np.asarray(batch["embedding"].to_pylist(), dtype=np.float64)
+    norms = np.linalg.norm(E, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    E = E / norms
+    m_sub = E.shape[1] // PQC_M
+    cols = {"vec_id": batch["vec_id"]}
+    for m in range(PQC_M):
+        X = E[:, m * m_sub : (m + 1) * m_sub]
+        d2 = c2[m][None, :] - 2.0 * (X @ codebooks[m].T)
+        cols[f"c{m}"] = pa.array(d2.argmin(axis=1).astype(np.uint8), pa.uint8())
+    return pa.table(cols)
 
 
 def pq_codes_layout(sf_dir: str) -> str:
     """Materialize (once, cached+resumable) the PQ layout: per-subspace
     k-means codebooks trained on the SAME deterministic driver sample
     as the IVF trainer, then every vector encoded to PQC_M uint8 codes
-    by an actor pool — 16 bytes/vector at dim 64 (a 16x memory cut,
+    by stateless tasks — 16 bytes/vector at dim 64 (a 16x memory cut,
     the compression that keeps a 10^9-vector corpus in cluster RAM)."""
     from harvester_ray.state.lineage import dir_fingerprint, run_stage
 
@@ -426,8 +392,6 @@ def pq_codes_layout(sf_dir: str) -> str:
     out = os.path.join(CACHE_ROOT, f"emb_pqc_{key}")
 
     def write(tmp: str) -> None:
-        import ray
-
         pf = pq.ParquetFile(emb_path)
         sample_rows = []
         need = IVF_TRAIN_ROWS
@@ -478,19 +442,9 @@ def pq_codes_layout(sf_dir: str) -> str:
             ),
             os.path.join(tmp, "_codebooks.parquet"),
         )
-        books_ref = ray.put(books)
-
-        class Encode(PqEncoder):
-            def __init__(self):
-                super().__init__(ray.get(books_ref))
-
         (
             ray.data.read_parquet(emb_path, columns=["vec_id", "embedding"])
-            .map_batches(
-                Encode,
-                batch_format="pyarrow",
-                concurrency=stage_concurrency(),
-            )
+            .map_batches(pq_encode_batch, fn_args=(books,), batch_format="pyarrow")
             .write_parquet(tmp)
         )
 

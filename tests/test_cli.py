@@ -79,6 +79,60 @@ def test_snapshot_restore_cycle(built_index, tmp_path, capsys, ray_session):
     assert a == b
 
 
+def test_query_batch_matches_search(built_index, tmp_path, capsys, ray_session):
+    """query-batch streams a query table through the QueryActor pool;
+    the written rows equal InvertedIndex.search per query (rank,
+    doc_id, score to 1e-9), for OR and AND queries and a query with no
+    hits."""
+    from harvester_ray.index.query import InvertedIndex
+
+    queries = [
+        (0, "scan join", "or"),
+        (1, "scan join", "and"),
+        (2, "dup", "or"),
+        (3, "zzzoovterm", "or"),
+        (4, "join the scan of a dup", "or"),
+    ]
+    qpath = str(tmp_path / "queries.parquet")
+    pq.write_table(
+        pa.table(
+            {
+                "query_id": pa.array([q[0] for q in queries], pa.int64()),
+                "query": [q[1] for q in queries],
+                "mode": [q[2] for q in queries],
+            }
+        ),
+        qpath,
+    )
+    out = str(tmp_path / "results")
+    assert cli.main(
+        [
+            "query-batch", "--index", built_index, "--queries", qpath,
+            "--out", out, "--k", "5",
+        ]
+    ) == 0
+    info = _lines(capsys)[-1]
+    got = pq.read_table(out).sort_by([("query_id", "ascending"), ("rank", "ascending")])
+    idx = InvertedIndex(built_index, preload=True)
+    want = [
+        (qid, rank, doc_id, score)
+        for qid, q, mode in queries
+        for rank, (doc_id, score) in enumerate(idx.search(q, k=5, mode=mode), start=1)
+    ]
+    assert len(want) > 5
+    assert info["rows"] == got.num_rows == len(want)
+    assert list(
+        zip(
+            got["query_id"].to_pylist(),
+            got["rank"].to_pylist(),
+            got["doc_id"].to_pylist(),
+        )
+    ) == [w[:3] for w in want]
+    np.testing.assert_allclose(
+        got["score"].to_numpy(), [w[3] for w in want], rtol=0, atol=1e-9
+    )
+
+
 def test_verify_backup_exit_code_on_damage(
     built_index, tmp_path, capsys, ray_session
 ):

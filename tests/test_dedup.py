@@ -545,9 +545,9 @@ def test_dedup_keep_anti_join_equals_broadcast(ray_session):
 def test_embedding_blocked_matches_baseline_twin(emb_corpus, ray_session):
     """The block-nested-loop scale twin emits EXACTLY the baseline
     twin's pairs and sims, at block counts that split ids unevenly and
-    force the per-actor block-LRU to evict (n_blocks > _EMB_BLOCK_CACHE).
+    give each per-bi task several bj blocks to read in turn.
     n_blocks=64 > n_vectors=40 leaves most residue classes EMPTY — the
-    regression case for the _BlockPairScorer._load empty-block crash
+    regression case for the _load_emb_block empty-block crash
     ((A*A).sum(axis=1) on a 1-D empty array)."""
     sf_dir, _, _ = emb_corpus
     tau = 0.9

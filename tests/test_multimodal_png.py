@@ -12,9 +12,9 @@ import pyarrow as pa
 import pytest
 
 from harvester_ray.stages.multimodal import (
-    StdlibPngDecoder,
     png_decode,
     png_encode,
+    stdlib_png_decode_batch,
     synthesize_png_payloads,
 )
 
@@ -93,7 +93,7 @@ def test_decoder_rejects_corruption_and_unsupported():
 
 
 def test_stdlib_decoder_stage_schema_and_fallback():
-    """StdlibPngDecoder: PNG payloads get REAL (width, height) and
+    """stdlib_png_decode_batch: PNG payloads get REAL (width, height) and
     pixel-derived features; non-image payloads keep the byte-stats
     schema — one batch, both paths."""
     px = np.arange(48, dtype=np.uint8).reshape(4, 12)
@@ -106,7 +106,7 @@ def test_stdlib_decoder_stage_schema_and_fallback():
             ),
         }
     )
-    out = StdlibPngDecoder()(batch)
+    out = stdlib_png_decode_batch(batch)
     assert out.column_names == [
         "doc_id", "media_type", "n_bytes", "payload_hash",
         "width", "height", "features",

@@ -1,23 +1,57 @@
-"""The incremental pages loop makes progress on a one-CPU Ray cluster.
+"""Pipelines make progress on a one-CPU Ray cluster.
 
 The shared test session runs 4 CPUs, so a stage that holds a CPU for
 its whole life (an actor pool) and starves the tasks that feed it only
-shows on a smaller cluster. This test runs the loop in a subprocess
-with its own ``ray.init(num_cpus=1)`` under a hard timeout: a base
-build, a new shard of HTML-only rows (delta add), then a rewrite of an
-existing shard (upsert, which folds the delta chain). After each step
-the index must match a fresh ``build_index`` over the logical page set.
+shows on a smaller cluster. Each test runs in a subprocess with its
+own ``ray.init(num_cpus=1)`` under a hard timeout.
+
+- The incremental pages loop: a base build, a new shard of HTML-only
+  rows (delta add), then a rewrite of an existing shard (upsert, which
+  folds the delta chain). After each step the index must match a fresh
+  ``build_index`` over the logical page set.
+- The per-batch stages that once ran as actor pools fed by a read task
+  (language ID, frame sampling, the decoders, embedding LSH dedup) and
+  the pages flagship's query set: each entry's rows must equal the same
+  call in the 4-CPU test session.
 """
 
+import importlib
 import os
 import signal
 import subprocess
 import sys
 
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
+
+from tests.conftest import SF_SMOKE as SF
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT_S = 180
+
+
+def _run_one_cpu(script: str, *args: str) -> str:
+    """Run ``script`` in a fresh process group; kill the group and fail
+    on timeout, else return its combined output."""
+    env = dict(os.environ, PYTHONPATH=REPO)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        cwd=REPO,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        output, _ = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        output, _ = proc.communicate()
+        pytest.fail(f"no progress at num_cpus=1 within {TIMEOUT_S} s:\n{output[-3000:]}")
+    assert proc.returncode == 0 and "ONE_CPU_OK" in output, output[-3000:]
+    return output
 
 SCRIPT = r"""
 import os
@@ -97,20 +131,70 @@ print("ONE_CPU_OK")
 
 
 def test_update_pages_index_progresses_on_one_cpu(tmp_path):
-    env = dict(os.environ, PYTHONPATH=REPO)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", SCRIPT, str(tmp_path)],
-        cwd=REPO,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        start_new_session=True,
+    _run_one_cpu(SCRIPT, str(tmp_path))
+
+
+# (name, module, function, kwargs): the same call in both sessions
+STAGE_CALLS = [
+    ("lang_id", "harvester_ray.stages.textstats", "lang_id", {"sf_dir": SF}),
+    ("frame_sample", "harvester_ray.stages.multimodal", "frame_sample", {"sf_dir": SF}),
+    (
+        "multimodal_features",
+        "harvester_ray.stages.multimodal",
+        "multimodal_features",
+        {"sf_dir": SF},
+    ),
+    ("png_image_stats", "harvester_ray.stages.multimodal", "png_image_stats", {"sf_dir": SF}),
+    (
+        "embedding_lsh_dups",
+        "harvester_ray.stages.dedup",
+        "embedding_lsh_dups",
+        {"sf_dir": SF},
+    ),
+    ("pages_flagship", "harvester_ray.pipelines.pages", "pages_flagship", {"n_pages": 200}),
+]
+
+STAGE_SCRIPT = r"""
+import importlib
+import os
+import sys
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+
+from harvester_ray.pipelines import pages
+
+work = sys.argv[1]
+pages.CACHE_ROOT = os.path.join(work, "cache")
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+for name, mod, fn, kwargs in %r:
+    df = getattr(importlib.import_module(mod), fn)(**kwargs).to_pandas()
+    pq.write_table(
+        pa.Table.from_pandas(df, preserve_index=False),
+        os.path.join(work, name + ".parquet"),
     )
-    try:
-        output, _ = proc.communicate(timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        output, _ = proc.communicate()
-        pytest.fail(f"no progress at num_cpus=1 within {TIMEOUT_S} s:\n{output[-3000:]}")
-    assert proc.returncode == 0 and "ONE_CPU_OK" in output, output[-3000:]
+    print("done", name, flush=True)
+ray.shutdown()
+print("ONE_CPU_OK")
+""" % (STAGE_CALLS,)
+
+
+def _sorted_rows(t: pa.Table) -> list:
+    return sorted(t.to_pylist(), key=repr)
+
+
+def test_stateless_stages_and_pages_queries_progress_on_one_cpu(
+    tmp_path, monkeypatch, ray_session
+):
+    from harvester_ray.pipelines import pages
+
+    _run_one_cpu(STAGE_SCRIPT, str(tmp_path))
+    monkeypatch.setattr(pages, "CACHE_ROOT", str(tmp_path / "cache4"))
+    for name, mod, fn, kwargs in STAGE_CALLS:
+        df = getattr(importlib.import_module(mod), fn)(**kwargs).to_pandas()
+        want = pa.Table.from_pandas(df, preserve_index=False)
+        got = pq.read_table(str(tmp_path / f"{name}.parquet"))
+        assert got.num_rows > 0, name
+        assert _sorted_rows(got) == _sorted_rows(want), name

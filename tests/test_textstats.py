@@ -101,9 +101,9 @@ def test_quality_score_golden(crafted, ray_session):
 
 def test_multimodal_features_golden(crafted, ray_session):
     from harvester_ray.stages.multimodal import (
-        FakeDecoder,
-        RealDecoder,
+        fake_decode_batch,
         multimodal_features,
+        pil_decode_batch,
     )
 
     got = multimodal_features(crafted).to_pandas().set_index("doc_id")
@@ -126,9 +126,16 @@ def test_multimodal_features_golden(crafted, ray_session):
         ]
         assert list(got.loc[i, "features"]) == pytest.approx(want)
     # the production decode stage is an explicit, documented stub
+    batch = pa.table(
+        {
+            "doc_id": pa.array([1], pa.int64()),
+            "media_type": pa.array(["image/fake"]),
+            "payload": pa.array([b"abc"], pa.binary()),
+        }
+    )
     with pytest.raises(NotImplementedError):
-        RealDecoder()
-    assert FakeDecoder(feature_dim=8).feature_dim == 8
+        pil_decode_batch(batch)
+    assert len(fake_decode_batch(batch, feature_dim=8)["features"][0]) == 8
 
 
 def test_token_counts_golden(crafted, ray_session):
@@ -193,32 +200,32 @@ def test_token_counts_matches_duckdb_oracle_on_punctuation(
 def test_default_decoder_autoselect_and_real_guard():
     """default_decoder() picks the stdlib-PNG real-pixel decoder when
     PIL is absent (round-5: actual decode, not the byte-stats fake)
-    and RealDecoder when present; RealDecoder without PIL raises the
+    and pil_decode_batch when present; pil_decode_batch without PIL raises the
     documented NotImplementedError; schemas are identical."""
     from harvester_ray.stages import multimodal
 
-    cls = multimodal.default_decoder()
+    import pyarrow as _pa
+
+    batch = _pa.table(
+        {
+            "doc_id": _pa.array([1], _pa.int64()),
+            "media_type": _pa.array(["audio/fake"]),
+            "payload": _pa.array([b"abc"], _pa.binary()),
+        }
+    )
+    fn = multimodal.default_decoder()
     if multimodal._PILImage is None:
-        assert cls is multimodal.StdlibPngDecoder
+        assert fn is multimodal.stdlib_png_decode_batch
         import pytest as _pytest
 
         with _pytest.raises(NotImplementedError):
-            multimodal.RealDecoder()
+            multimodal.pil_decode_batch(batch)
     else:  # pragma: no cover - PIL absent in this container
-        assert cls is multimodal.RealDecoder
+        assert fn is multimodal.pil_decode_batch
         # non-image media falls back to byte features => same values
-        import pyarrow as _pa
-
-        batch = _pa.table(
-            {
-                "doc_id": _pa.array([1], _pa.int64()),
-                "media_type": _pa.array(["audio/fake"]),
-                "payload": _pa.array([b"abc"], _pa.binary()),
-            }
-        )
         assert (
-            multimodal.RealDecoder()(batch).to_pylist()
-            == multimodal.FakeDecoder()(batch).to_pylist()
+            multimodal.pil_decode_batch(batch).to_pylist()
+            == multimodal.fake_decode_batch(batch).to_pylist()
         )
 
 
