@@ -2,19 +2,13 @@
 
 Replaces the reference's registry-API Collection lookup + akara.ini env
 config (harvester/collection_registry_client.py:86-169,
-harvester/config.py:25-78) with a plain dataclass; every knob that
-matters at 100 TB scale is explicit here.
+harvester/config.py:25-78) with a plain dataclass of the settings a
+caller sets; fixed values are constants of the modules that use them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class BM25Params:
-    k1: float = 1.2
-    b: float = 0.75
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -36,11 +30,14 @@ class IndexConfig:
     - ``segment_doc_chunks``: head-term skew control — each bucket's
       encode splits into this many contiguous doc_id ranges, so no task
       holds a hot term's whole posting list (SURVEY.md §4 skew row).
-    - ``extract_batch_size``: rows per HTML-extraction batch. HTML rows
-      can be MBs, keep small (FIXTURES/SURVEY hard part (f)).
+
+    Only settings some caller sets are fields. The BM25 parameters, the
+    SPIMI and extraction batch sizes and the build's read columns are
+    module constants (``build.BM25_K1``/``BM25_B``,
+    ``build.SPIMI_BATCH_ROWS``, ``extract.EXTRACT_BATCH_ROWS``,
+    ``build.DOC_COLUMNS``); posting blocks are always LEB128 varint.
     """
 
-    bm25: BM25Params = field(default_factory=BM25Params)
     block_size: int = 128
     # 128 (was 32): encode tasks = buckets × chunks, and with buckets
     # == CPUs the stage ran as ONE wave whose wall time was its most
@@ -60,27 +57,14 @@ class IndexConfig:
     # no read amplification. Doc-sharded serving requires
     # segment_doc_chunks == n_shards (power of two).
     segment_doc_chunks: int = 1
-    # SPIMI batch: the per-batch fixed cost is the side writes (one
-    # file per term bucket per batch), so batches are large; ~32k docs
-    # x ~1KB text ≈ 32 MB in flight per task. Lower it for wide rows
-    # (multi-MB html).
-    spimi_batch_size: int = 32768
-    extract_batch_size: int = 128
     # cap on concurrent extraction tasks (each fused with its parquet
     # write); None leaves it to Ray Data
     extract_concurrency: int | None = None
-    # columns pruned at the read for the build (prune-at-the-read rule)
-    doc_columns: tuple[str, ...] = ("doc_id", "text")
     # injectable analyzer (SURVEY.md §2.10): resolved via
     # functions.text.get_analyzer at use sites; the NAME (not the
     # callable) travels through config/params/stats so resume keys and
     # serialized stats stay stable
     analyzer_name: str = "default"
-    # posting-block codec: "varint" (LEB128, fastest encode/bulk
-    # decode — default), "for" (FOR bit-packing: tighter uniform
-    # blocks, slower per-block encode) or "pfor" (PForDelta with
-    # patched exceptions: smallest segments, outlier-immune)
-    codec: str = "varint"
     # auto-compaction policy for the incremental pages loop: fold the
     # delta chain into one source (maintenance.merge_sources) once it
     # reaches this length — bounds per-query multi-source overhead

@@ -62,47 +62,6 @@ def varint_encode(values: np.ndarray) -> bytes:
     return varint_encode_offsets(values)[0]
 
 
-def bitpack_encode(values: np.ndarray) -> bytes:
-    """FOR bit-packing (the PForDelta family, without exception
-    patching): header ``[width:1][n:2 LE]`` then ceil(n*width/8) bytes
-    of LSB-first packed values. All values share the max bit width —
-    the classic frame-of-reference layout; posting blocks are small
-    (<= block_size) and delta-encoded, so the max width is tight.
-    Self-delimiting, so per-block buffers decode independently."""
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    n = len(v)
-    if n >= 1 << 16:
-        raise ValueError(f"bitpack block too large: {n}")
-    if n == 0:
-        return (0).to_bytes(1, "little") + (0).to_bytes(2, "little")
-    w = int(v.max()).bit_length()
-    head = w.to_bytes(1, "little") + n.to_bytes(2, "little")
-    if w == 0:
-        return head
-    bits = (
-        (v[:, None] >> np.arange(w, dtype=np.uint64)[None, :]) & np.uint64(1)
-    ).astype(np.uint8)
-    return head + np.packbits(bits.reshape(-1), bitorder="little").tobytes()
-
-
-def bitpack_decode(buf: bytes) -> np.ndarray:
-    """Decode one bitpack_encode buffer -> uint64 ndarray."""
-    w = buf[0]
-    n = int.from_bytes(buf[1:3], "little")
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    if w == 0:
-        return np.zeros(n, dtype=np.uint64)
-    bits = np.unpackbits(
-        np.frombuffer(buf, np.uint8, offset=3),
-        count=n * w,
-        bitorder="little",
-    ).reshape(n, w)
-    return (
-        bits.astype(np.uint64) << np.arange(w, dtype=np.uint64)[None, :]
-    ).sum(axis=1, dtype=np.uint64)
-
-
 def varint_decode(buf: bytes) -> np.ndarray:
     """Decode concatenated LEB128 varints -> uint64 ndarray."""
     b = np.frombuffer(buf, dtype=np.uint8)
@@ -118,110 +77,3 @@ def varint_decode(buf: bytes) -> np.ndarray:
         m = lengths > k
         vals[m] |= (b[starts[m] + k].astype(np.uint64) & _U127) << np.uint64(7 * k)
     return vals
-
-
-def _varint_size(v: np.ndarray) -> np.ndarray:
-    """Encoded LEB128 byte width per value (vectorized)."""
-    nb = np.ones(len(v), dtype=np.int64)
-    if len(v) == 0:
-        return nb
-    vmax = int(v.max())
-    thresh = 1 << 7
-    while vmax >= thresh and thresh < (1 << 63):
-        nb += v >= np.uint64(thresh)
-        thresh <<= 7
-    if vmax >= (1 << 63):
-        nb += v >= np.uint64(1 << 63)
-    return nb
-
-
-def pfor_encode(values: np.ndarray) -> bytes:
-    """PForDelta (NewPFD-style patched frame-of-reference): pack every
-    value's low ``b`` bits; values that do not fit become exceptions —
-    their positions are a nested bitpack block and their high parts
-    (``v >> b``) a varint stream. ``b`` is chosen by exact total-size
-    minimization over the distinct bit widths present in the block
-    (blocks are <= block_size values, so this is cheap).
-
-    Layout: ``[b:1][n:2 LE] [ceil(n*b/8) low bits, LSB-first]
-    [bitpack block: exception positions] [varints: exception highs]``.
-    Self-delimiting (like bitpack_encode), so per-block buffers decode
-    independently and "pfor" slots into the same segment layout."""
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    n = len(v)
-    if n >= 1 << 16:
-        raise ValueError(f"pfor block too large: {n}")
-    if n == 0:
-        return (0).to_bytes(1, "little") + (0).to_bytes(2, "little")
-    # per-value bit_length via threshold ladder (one pass per width
-    # present, bounded by the block max's bit_length)
-    widths = np.zeros(n, dtype=np.int64)
-    vmax = int(v.max())
-    w = 0
-    thresh = np.uint64(1)
-    while (1 << w) <= vmax and w < 64:
-        widths += v >= thresh
-        w += 1
-        thresh = np.uint64(1) << np.uint64(w) if w < 64 else thresh
-    candidates = np.unique(widths)
-    best_b, best_cost = None, None
-    for b in candidates:
-        b = int(b)
-        exc = widths > b
-        n_exc = int(exc.sum())
-        # exact encoded size: low bits + positions bitpack + high varints
-        pos_w = int(np.nonzero(exc)[0].max()).bit_length() if n_exc else 0
-        high_bytes = (
-            int(_varint_size(v[exc] >> np.uint64(b)).sum()) if n_exc else 0
-        )
-        cost = (
-            3 + (n * b + 7) // 8 + 3 + (n_exc * pos_w + 7) // 8 + high_bytes
-        )
-        if best_cost is None or cost < best_cost:
-            best_b, best_cost = b, cost
-    b = best_b
-    head = b.to_bytes(1, "little") + n.to_bytes(2, "little")
-    if b == 0:
-        low_bytes = b""
-    else:
-        low = v & ((np.uint64(1) << np.uint64(b)) - np.uint64(1)) if b < 64 else v
-        bits = (
-            (low[:, None] >> np.arange(b, dtype=np.uint64)[None, :])
-            & np.uint64(1)
-        ).astype(np.uint8)
-        low_bytes = np.packbits(bits.reshape(-1), bitorder="little").tobytes()
-    exc = widths > b
-    pos = np.nonzero(exc)[0].astype(np.uint64)
-    highs = v[exc] >> np.uint64(b) if b < 64 else np.empty(0, np.uint64)
-    return head + low_bytes + bitpack_encode(pos) + varint_encode(highs)
-
-
-def pfor_decode(buf: bytes) -> np.ndarray:
-    """Decode one pfor_encode buffer -> uint64 ndarray."""
-    b = buf[0]
-    n = int.from_bytes(buf[1:3], "little")
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    off = 3
-    if b == 0:
-        out = np.zeros(n, dtype=np.uint64)
-    else:
-        nbytes = (n * b + 7) // 8
-        bits = np.unpackbits(
-            np.frombuffer(buf, np.uint8, offset=off, count=nbytes),
-            count=n * b,
-            bitorder="little",
-        ).reshape(n, b)
-        out = (
-            bits.astype(np.uint64) << np.arange(b, dtype=np.uint64)[None, :]
-        ).sum(axis=1, dtype=np.uint64)
-        off += nbytes
-    pos_w = buf[off]
-    n_exc = int.from_bytes(buf[off + 1 : off + 3], "little")
-    pos_bytes = (n_exc * pos_w + 7) // 8
-    pos = bitpack_decode(buf[off : off + 3 + pos_bytes]).astype(np.int64)
-    off += 3 + pos_bytes
-    if n_exc:
-        highs = varint_decode(buf[off:])
-        out[pos] |= highs << np.uint64(b)
-    return out

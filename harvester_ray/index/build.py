@@ -59,11 +59,7 @@ import ray
 import ray.data
 
 from harvester_ray.config import DEFAULT_INDEX_CONFIG, IndexConfig
-from harvester_ray.functions.codec import (
-    bitpack_encode,
-    pfor_encode,
-    varint_encode_offsets,
-)
+from harvester_ray.functions.codec import varint_encode_offsets
 from harvester_ray.functions.text import (
     DEFAULT_ANALYZER,
     flatten_tokens,
@@ -72,6 +68,19 @@ from harvester_ray.functions.text import (
 )
 
 ENGINE_VERSION = 4  # v4: stats.json records num_term_buckets (term-shard tier)
+
+# BM25 parameters of every build; stats.json records them and the query
+# side reads them from there
+BM25_K1 = 1.2
+BM25_B = 0.75
+# the one posting-block format (LEB128 varint), recorded in stats.json
+CODEC = "varint"
+# SPIMI batch: the per-batch fixed cost is the side writes (one file per
+# term bucket per batch), so batches are large; ~32k docs x ~1KB text
+# ≈ 32 MB in flight per task
+SPIMI_BATCH_ROWS = 32768
+# the columns a build reads (prune-at-the-read rule)
+DOC_COLUMNS = ("doc_id", "text")
 
 # Map signed int64 order onto unsigned order (flip the sign bit), so
 # top-bit doc chunks (legacy_chunk_bounds) are *ordered, disjoint*
@@ -261,7 +270,6 @@ def _encode_sorted_runs(
     k1: float,
     b: float,
     bs: int,
-    codec: str = "varint",
 ) -> pa.Table:
     """Encode MANY (term_id, doc_id)-sorted posting runs into block rows
     (FIXTURES.md §3 layout, block_max = idf-free norm max) in ONE
@@ -285,35 +293,14 @@ def _encode_sorted_runs(
     gaps[0] = 0
     np.subtract(did_s[1:], did_s[:-1], out=gaps[1:], casting="unsafe")
     gaps[starts] = 0  # gap[0] of each block is relative to first_doc_id
-    if codec == "varint":
-        gap_buf, gap_ends = varint_encode_offsets(gaps)
-        tf_buf, tf_ends = varint_encode_offsets(tf_s)
-        dl_buf, dl_ends = varint_encode_offsets(dl_s)
 
-        def slices(buf: bytes, value_ends: np.ndarray) -> list[bytes]:
-            byte_lo = np.concatenate(([0], value_ends[ends[:-1] - 1]))
-            byte_hi = value_ends[ends - 1]
-            return [buf[a:b_] for a, b_ in zip(byte_lo, byte_hi)]
+    def slices(values: np.ndarray) -> list[bytes]:
+        buf, value_ends = varint_encode_offsets(values)
+        byte_lo = np.concatenate(([0], value_ends[ends[:-1] - 1]))
+        byte_hi = value_ends[ends - 1]
+        return [buf[a:b_] for a, b_ in zip(byte_lo, byte_hi)]
 
-        gap_col = slices(gap_buf, gap_ends)
-        tf_col = slices(tf_buf, tf_ends)
-        dl_col = slices(dl_buf, dl_ends)
-    elif codec == "for":
-        # FOR bit-packed option (the "varint/PForDelta" alternative of
-        # the north star): tighter blocks, per-block Python encode loop
-        # — pick for storage-bound deployments, varint for build speed
-        gap_col = [bitpack_encode(gaps[a:b_]) for a, b_ in zip(starts, ends)]
-        tf_col = [bitpack_encode(tf_s[a:b_]) for a, b_ in zip(starts, ends)]
-        dl_col = [bitpack_encode(dl_s[a:b_]) for a, b_ in zip(starts, ends)]
-    elif codec == "pfor":
-        # PForDelta with patched exceptions (codec.pfor_encode): FOR's
-        # tight widths without outlier blow-up — the smallest segments
-        # of the three; per-block Python encode loop like "for"
-        gap_col = [pfor_encode(gaps[a:b_]) for a, b_ in zip(starts, ends)]
-        tf_col = [pfor_encode(tf_s[a:b_]) for a, b_ in zip(starts, ends)]
-        dl_col = [pfor_encode(dl_s[a:b_]) for a, b_ in zip(starts, ends)]
-    else:
-        raise ValueError(f"unknown codec {codec!r}")
+    gap_col, tf_col, dl_col = slices(gaps), slices(tf_s), slices(dl_s)
 
     block_max = np.maximum.reduceat(norms, starts).astype(np.float32)
     run_of_block = np.repeat(
@@ -346,7 +333,6 @@ def encode_postings(
     k1: float,
     b: float,
     bs: int,
-    codec: str,
     rows: "np.ndarray | None" = None,
 ) -> pa.Table:
     """Block rows for posting rows (term, term_id, doc_id, tf, doc_len)
@@ -376,7 +362,7 @@ def encode_postings(
     terms_per_run = pc.take(t["term"], pa.array(first_rows)).combine_chunks()
     return _encode_sorted_runs(
         terms_per_run, run_starts, run_ends,
-        tid_s, did_s, tf[order], dl[order], avgdl, k1, b, bs, codec,
+        tid_s, did_s, tf[order], dl[order], avgdl, k1, b, bs,
     )
 
 
@@ -407,6 +393,18 @@ def string_terms(t: pa.Table) -> pa.Table:
     if i < 0 or t.schema.field(i).type == pa.string():
         return t
     return t.set_column(i, "term", t.column(i).cast(pa.string()))
+
+
+def check_codec(src_dir: str, stats: dict) -> None:
+    """Raise ValueError when the source at ``src_dir`` (its parsed
+    ``stats.json`` in ``stats``) stores posting blocks in a format other
+    than ``CODEC``; a source without the key predates it and is varint."""
+    codec = stats.get("codec", CODEC)
+    if codec != CODEC:
+        raise ValueError(
+            f"source {src_dir} stores {codec!r} posting blocks; only "
+            f"{CODEC!r} is readable — rebuild it with build_index"
+        )
 
 
 def _present_buckets(post_root: str) -> list[int]:
@@ -727,7 +725,7 @@ def build_index(
             batch_format="pyarrow",
             # large batches: the side writes (one file per bucket per
             # batch) are the per-batch fixed cost
-            batch_size=cfg.spimi_batch_size,
+            batch_size=SPIMI_BATCH_ROWS,
             zero_copy_batch=True,
         ).sum("rows")  # consume the count rows to drive the pass
 
@@ -796,7 +794,7 @@ def build_index(
         bounds_arr = None
 
     post_root = paths.postings
-    k1, b_, bs, codec = cfg.bm25.k1, cfg.bm25.b, cfg.block_size, cfg.codec
+    bs = cfg.block_size
 
     # Raw Ray tasks (not a Dataset op) on purpose: the fan-out unit is
     # a CONTROL row (bucket id), and Ray Data bundles tiny control
@@ -857,7 +855,7 @@ def build_index(
             )
             if len(t) == 0:
                 return 0
-            seg = encode_postings(t, avgdl, k1, b_, bs, codec)
+            seg = encode_postings(t, avgdl, BM25_K1, BM25_B, bs)
             _atomic_side_write(seg, tmp, f"bucket{bk:05d}c{chunk:02d}")
             return len(seg)
 
@@ -878,8 +876,8 @@ def build_index(
     seg_params = (
         f"strategy=bucket,bs={cfg.block_size},"
         f"tbuckets={cfg.num_term_buckets},chunks={cfg.segment_doc_chunks},"
-        f"bounds={bounds_tag},codec={cfg.codec},"
-        f"k1={cfg.bm25.k1},b={cfg.bm25.b},avgdl={avgdl!r}"
+        f"bounds={bounds_tag},codec={CODEC},"
+        f"k1={BM25_K1},b={BM25_B},avgdl={avgdl!r}"
     )
 
     # Sequential staging: concurrent stage executions were measured to
@@ -906,8 +904,8 @@ def build_index(
                 "total_tokens": total_tokens,
                 "avgdl": avgdl,
                 "n_terms": int(n_terms),
-                "k1": cfg.bm25.k1,
-                "b": cfg.bm25.b,
+                "k1": BM25_K1,
+                "b": BM25_B,
                 "block_size": cfg.block_size,
                 "analyzer": cfg.analyzer_name,
                 # always "bucket"; other values mark indexes written by
@@ -927,7 +925,7 @@ def build_index(
                 # prefix (index/serving.py routes a query term to row
                 # (hash(term_id) % num_term_buckets) % n_term_shards)
                 "num_term_buckets": cfg.num_term_buckets,
-                "codec": cfg.codec,
+                "codec": CODEC,
                 "engine_version": ENGINE_VERSION,
             },
             f,

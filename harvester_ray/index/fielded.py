@@ -6,7 +6,7 @@ emits title/creator/subject/description fields,
 /root/reference/harvester/solr_updater.py:64-134,688-745) and the Solr
 tier it delegates to boosts across them (qf=title^2 body). The engine's
 analog stores ONE standard index per field — the per-field postings
-reuse the exact bucket/segment layout, lineage, codecs and (doc/term/
+reuse the exact bucket/segment layout, lineage, varint blocks and (doc/term/
 grid) sharding of the single-field index — and a ``FieldedIndex``
 combines them at query time with BM25F (Robertson/Zaragoza): per-field
 weighted, length-normalized tfs are summed BEFORE the k1 saturation,

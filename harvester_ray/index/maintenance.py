@@ -324,7 +324,9 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
     the partitioning assumption; documented per module docstring). The
     merged index retains its own postings buckets, so it stays
     re-mergeable. A source from a retired (non-bucket) strategy has no
-    postings buckets and is rejected before ``out_dir`` is touched.
+    postings buckets, and a source whose blocks are not varint
+    (``build.check_codec``) cannot be read; both are rejected before
+    ``out_dir`` is touched.
 
     Global stats (N, avgdl, df) are recomputed from surviving docs —
     the post-compaction rescoring semantics (scores legitimately shift
@@ -337,9 +339,11 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
     import ray
 
     from harvester_ray.index.build import (
+        CODEC,
         ENGINE_VERSION,
         _atomic_side_write,
         bucket_dictionary,
+        check_codec,
         chunk_of_ids,
         encode_postings,
         legacy_chunk_bounds,
@@ -349,6 +353,7 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
     srcs = source_dirs(index_dir)
     stats = [_source_stats(s) for s in srcs]
     for src, st in zip(srcs, stats):
+        check_codec(src, st)
         # a retired strategy's postings have no bucket= dirs: merging
         # would write an empty index over the live one
         if st.get("segment_strategy") != "bucket":
@@ -357,8 +362,7 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
                 f"strategy {st.get('segment_strategy')!r}; only bucket "
                 "sources can be merged — rebuild with build_index"
             )
-    for key in ("block_size", "codec", "k1", "b", "analyzer",
-                "segment_doc_chunks"):
+    for key in ("block_size", "k1", "b", "analyzer", "segment_doc_chunks"):
         vals = {s[key] for s in stats}
         if len(vals) > 1:
             raise ValueError(
@@ -454,7 +458,6 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
     k1 = float(stats[0]["k1"])
     b_ = float(stats[0]["b"])
     bs = int(stats[0]["block_size"])
-    codec = stats[0]["codec"]
 
     # -- per-bucket: merged postings partition + dictionary part + ALL
     # chunk segment encodes off ONE in-memory read (was 1 + n_chunks
@@ -492,7 +495,7 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
             sel = np.nonzero(chunk_of == chunk)[0]
             if len(sel) == 0:
                 continue
-            seg = encode_postings(t, avgdl, k1, b_, bs, codec, rows=sel)
+            seg = encode_postings(t, avgdl, k1, b_, bs, rows=sel)
             _atomic_side_write(seg, out.segments, f"bucket{b:05d}c{chunk:02d}")
         return len(t)
 
@@ -524,7 +527,7 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
                     else None
                 ),
                 "num_term_buckets": base.get("num_term_buckets"),
-                "codec": base["codec"],
+                "codec": CODEC,
                 "engine_version": ENGINE_VERSION,
             },
             f,

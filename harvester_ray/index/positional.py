@@ -69,6 +69,7 @@ from harvester_ray.functions.text import (
     hash64,
     hash64_array,
 )
+from harvester_ray.index.build import SPIMI_BATCH_ROWS, _atomic_side_write
 
 POSITIONAL_VERSION = 1
 
@@ -79,16 +80,6 @@ def _positions_subdir(root: str) -> str:
 
 def _stats_path(root: str) -> str:
     return os.path.join(root, "stats.json")
-
-
-def _atomic_write(tbl: pa.Table, out_dir: str, key: str) -> None:
-    """Idempotent side write (same pattern as build._atomic_side_write)."""
-    import pyarrow.parquet as pq
-
-    final = os.path.join(out_dir, f"part-{key}.parquet")
-    tmp = f"{final}.tmp-{os.getpid()}"
-    pq.write_table(tbl, tmp)
-    os.replace(tmp, final)
 
 
 def make_positions_batch(post_dir: str, n_buckets: int, analyzer):
@@ -152,7 +143,7 @@ def make_positions_batch(post_dir: str, n_buckets: int, analyzer):
         for hi in list(bounds) + [len(run_bucket)]:
             bdir = os.path.join(post_dir, f"bucket={run_bucket[lo]}")
             os.makedirs(bdir, exist_ok=True)
-            _atomic_write(out.slice(lo, hi - lo), bdir, key)
+            _atomic_side_write(out.slice(lo, hi - lo), bdir, key)
             lo = hi
         return pa.table({"rows": pa.array([len(run_idx)], pa.int64())})
 
@@ -181,7 +172,7 @@ def build_positions(
                 tmp, cfg.num_term_buckets, get_analyzer(cfg.analyzer_name)
             ),
             batch_format="pyarrow",
-            batch_size=cfg.spimi_batch_size,
+            batch_size=SPIMI_BATCH_ROWS,
             zero_copy_batch=True,
         )
         ds.sum("rows")

@@ -2,17 +2,29 @@
 
 Query-time posting-list intersection is "our join" (SURVEY.md §2.5):
 k per-term posting lists joined on doc_id inside the query actor —
-never a Ray-level shuffle. Three execution paths, all rank-identical:
+never a Ray-level shuffle. ``InvertedIndex.search`` has these paths,
+all rank-identical:
 
-- ``exhaustive``  decode + score every posting of every query term
-  (the oracle path; OR = k-way union, AND = k-way sorted intersection)
-- ``wand``        Block-Max WAND: document-at-a-time with per-term and
-  per-block score upper bounds; skips blocks that cannot enter the
-  top-k (the north-star pruning algorithm)
-- batch evaluation: ``QueryActor`` over a query table (the stateful
-  stage: a resident actor pool in the pipelines, a ``map_batches``
-  actor pool in the CLI — the analog of the reference's per-run Solr
-  connection, harvester/solr_updater.py:838).
+- ``algorithm="auto"`` (the default) is exhaustive: every posting of
+  every query term is decoded and scored once. It is *dense* when the
+  index holds the doc table: each term's per-posting scores are cached
+  by doc slot and summed into one accumulator per query. Otherwise (a
+  term-shard cell, or a source with no readable doc table) it is
+  *sparse*: ``rank_scored_postings`` takes the k-way union (OR) or
+  sorted intersection (AND) of the per-term scored postings.
+- ``algorithm="wand"`` with ``mode="or"``: Block-Max WAND, document at
+  a time with per-term and per-block score upper bounds; it skips
+  blocks that cannot enter the top-k.
+- ``algorithm="wand"`` with ``mode="and"``: Block-Max AND, a leapfrog
+  intersection that skips a candidate whose summed block maxima
+  cannot beat the top-k threshold.
+
+A custom scorer, an excluded term or a search-after cursor sends a
+``wand`` query to the exhaustive path. ``QueryActor`` evaluates a
+query table in batches (the stateful stage: a resident actor pool in
+the pipelines, a ``map_batches`` actor pool in the CLI — the analog of
+the reference's per-run Solr connection,
+harvester/solr_updater.py:838).
 
 Ranking rule (shared with the DuckDB oracle SQL): order by
 round(score, 6) DESC, doc_id ASC, take k. Rounding makes
@@ -27,29 +39,16 @@ import heapq
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from harvester_ray.functions.codec import (
-    bitpack_decode,
-    pfor_decode,
-    varint_decode,
-)
-
-# per-block decoders for the self-delimiting codecs; "varint" also has
-# a bulk whole-column path in decode_all
-_BLOCK_DECODERS = {
-    "varint": varint_decode,
-    "for": bitpack_decode,
-    "pfor": pfor_decode,
-}
+from harvester_ray.functions.codec import varint_decode
 from harvester_ray.functions.text import get_analyzer
-from harvester_ray.index.build import bm25_score, string_terms
-
-import re
+from harvester_ray.index.build import bm25_score, check_codec, string_terms
 
 # per-term-bucket artifact names (bucket strategy): dictionary parts
 # and (bucket, chunk) segment parts — the term-shard tier selects
@@ -162,11 +161,9 @@ class _TermBlocks:
     contiguous byte buffer, so a view copies no block bytes.
     """
 
-    __slots__ = (
-        "first", "last", "bmax", "ub_norm", "deltas", "tfs", "lens", "codec",
-    )
+    __slots__ = ("first", "last", "bmax", "ub_norm", "deltas", "tfs", "lens")
 
-    def __init__(self, first, last, bmax, ub_norm, deltas, tfs, lens, codec):
+    def __init__(self, first, last, bmax, ub_norm, deltas, tfs, lens):
         self.first = first
         self.last = last
         self.bmax = bmax
@@ -174,7 +171,6 @@ class _TermBlocks:
         self.deltas = deltas
         self.tfs = tfs
         self.lens = lens
-        self.codec = codec
 
     @staticmethod
     def _buf(col, i: int) -> memoryview:
@@ -189,32 +185,22 @@ class _TermBlocks:
         return values[off[0] : off[-1]]
 
     def decode_block(self, i: int):
-        dec = _BLOCK_DECODERS[self.codec]
-        ids = dec(self._buf(self.deltas, i)).view(np.int64).cumsum() + self.first[i]
-        tf = dec(self._buf(self.tfs, i)).astype(np.int64)
-        dl = dec(self._buf(self.lens, i)).astype(np.int64)
+        ids = (
+            varint_decode(self._buf(self.deltas, i)).view(np.int64).cumsum()
+            + self.first[i]
+        )
+        tf = varint_decode(self._buf(self.tfs, i)).astype(np.int64)
+        dl = varint_decode(self._buf(self.lens, i)).astype(np.int64)
         return ids, tf, dl
 
     def decode_all(self):
-        """Bulk decode. varint: ONE decode per column across all blocks
-        (buffers concatenate), ids reconstructed with a single prefix
-        sum. FOR bitpack buffers are self-delimiting per block, so that
-        codec decodes per block and concatenates."""
+        """Bulk decode: ONE varint decode per column across all blocks
+        (the buffers concatenate), ids reconstructed with a single
+        prefix sum. Raises ValueError when the gap stream's block starts
+        do not match the block count (corrupt segment bytes)."""
         if not len(self.first):
             z = np.empty(0, np.int64)
             return z, z.copy(), z.copy()
-        if self.codec in ("for", "pfor"):
-            id_parts, tf_parts, dl_parts = [], [], []
-            for i in range(len(self.first)):
-                ids, tf, dl = self.decode_block(i)
-                id_parts.append(ids)
-                tf_parts.append(tf)
-                dl_parts.append(dl)
-            return (
-                np.concatenate(id_parts),
-                np.concatenate(tf_parts),
-                np.concatenate(dl_parts),
-            )
         gaps = varint_decode(self._joined(self.deltas)).view(np.int64)
         tf = varint_decode(self._joined(self.tfs)).astype(np.int64)
         dl = varint_decode(self._joined(self.lens)).astype(np.int64)
@@ -222,7 +208,11 @@ class _TermBlocks:
         # doc_ids are strictly increasing within a block, so in-block
         # gaps are >= 1 and gap == 0 appears exactly at block starts
         starts_idx = np.nonzero(gaps == 0)[0]
-        assert len(starts_idx) == len(self.first), "corrupt block stream"
+        if len(starts_idx) != len(self.first):
+            raise ValueError(
+                f"corrupt block stream: {len(starts_idx)} zero gaps for "
+                f"{len(self.first)} blocks"
+            )
         cs = np.cumsum(gaps)
         base = np.concatenate(([0], cs[starts_idx[1:] - 1]))
         sizes = np.diff(np.concatenate((starts_idx, [n])))
@@ -265,12 +255,9 @@ class _BlockTable:
     it). The same constructor serves a preloaded source (the whole
     segment table) and a lazy read (one term's filtered rows)."""
 
-    __slots__ = (
-        "tids", "starts", "first", "last", "bmax", "ub_norm", "bufs", "codec",
-    )
+    __slots__ = ("tids", "starts", "first", "last", "bmax", "ub_norm", "bufs")
 
-    def __init__(self, seg: pa.Table, codec: str):
-        self.codec = codec
+    def __init__(self, seg: pa.Table):
         if len(seg) == 0 or "term_id" not in seg.column_names:
             z = np.empty(0, np.int64)
             self.tids, self.starts = z, np.zeros(1, np.int64)
@@ -311,7 +298,6 @@ class _BlockTable:
             (dv, do[s : e + 1]),
             (tv, to[s : e + 1]),
             (lv, lo[s : e + 1]),
-            self.codec,
         )
 
 
@@ -323,15 +309,13 @@ class _Source:
     is; ``key`` tells unchanged from rewritten (see _source_key)."""
 
     __slots__ = (
-        "key", "paths", "stats", "codec", "dictionary", "segments",
-        "doc_ids", "blocks",
+        "key", "paths", "stats", "dictionary", "segments", "doc_ids", "blocks",
     )
 
     def __init__(self, key, paths, stats, dictionary, segments, doc_ids):
         self.key = key
         self.paths = paths
         self.stats = stats
-        self.codec = stats.get("codec", "varint")
         self.dictionary = dictionary
         self.segments = segments
         self.doc_ids = doc_ids
@@ -341,14 +325,13 @@ class _Source:
         """All of this source's blocks, or only ``term_id``'s (a
         predicate-pushdown read of that term's row groups)."""
         if not self.segments.files:  # empty shard/source
-            return _BlockTable(pa.table({}), self.codec)
+            return _BlockTable(pa.table({}))
         return _BlockTable(
             self.segments.to_table(
                 columns=_BLOCK_COLUMNS,
                 filter=None if term_id is None
                 else pads.field("term_id") == term_id,
-            ),
-            self.codec,
+            )
         )
 
     def view(self, tid: int, scale: float) -> "_TermBlocks | None":
@@ -675,6 +658,7 @@ class InvertedIndex:
         p = IndexPaths(src_dir)
         with open(p.stats) as f:
             stats = json.load(f)
+        check_codec(src_dir, stats)
         doc_ids = None
         if self.term_shard is None:
             # no readable doc table: the dense path is off (_slots None)

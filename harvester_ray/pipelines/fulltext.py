@@ -16,7 +16,12 @@ import pyarrow as pa
 import ray.data
 
 from harvester_ray.config import DEFAULT_INDEX_CONFIG
-from harvester_ray.index.build import ENGINE_VERSION, IndexPaths, build_index
+from harvester_ray.index.build import (
+    DOC_COLUMNS,
+    ENGINE_VERSION,
+    IndexPaths,
+    build_index,
+)
 from harvester_ray.index.query import QueryActor
 from harvester_ray.stages.joins import join_parquet_side
 from harvester_ray.stages.topk import topk_per_key
@@ -90,7 +95,7 @@ def index_for(sf_dir: str) -> IndexPaths:
         return paths
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
-        columns=list(DEFAULT_INDEX_CONFIG.doc_columns),
+        columns=list(DOC_COLUMNS),
     )
     return build_index(docs, out)
 
@@ -1061,7 +1066,7 @@ def index_for_incremental(sf_dir: str) -> IndexPaths:
     if os.path.exists(paths.stats) and delta_dirs(out):
         return paths
     src = os.path.join(sf_dir, "documents.parquet")
-    cols = list(DEFAULT_INDEX_CONFIG.doc_columns)
+    cols = list(DOC_COLUMNS)
 
     def half(parity: int):
         return ray.data.read_parquet(src, columns=cols).map_batches(
@@ -1124,7 +1129,7 @@ def bm25_topk_or_sharded(sf_dir: str, n_shards: int = 4) -> "object":
     if not os.path.exists(paths.stats):
         docs = ray.data.read_parquet(
             os.path.join(sf_dir, "documents.parquet"),
-            columns=list(DEFAULT_INDEX_CONFIG.doc_columns),
+            columns=list(DOC_COLUMNS),
         )
         build_index(
             docs, out, IndexConfig(segment_doc_chunks=n_shards)
@@ -1176,7 +1181,7 @@ def search_facets_sharded(sf_dir: str, n_shards: int = 4) -> "object":
     if not os.path.exists(paths.stats):
         docs = ray.data.read_parquet(
             os.path.join(sf_dir, "documents.parquet"),
-            columns=list(DEFAULT_INDEX_CONFIG.doc_columns),
+            columns=list(DOC_COLUMNS),
         )
         build_index(docs, out, IndexConfig(segment_doc_chunks=n_shards))
     facet_parquet = os.path.join(sf_dir, "documents.parquet")
@@ -2196,7 +2201,7 @@ def index_for_porter(sf_dir: str) -> IndexPaths:
     )
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
-        columns=list(cfg.doc_columns),
+        columns=list(DOC_COLUMNS),
     )
     return build_index(docs, out, cfg)
 
@@ -3657,7 +3662,7 @@ def index_for_atomic(sf_dir: str) -> IndexPaths:
     ):
         return paths
     src = os.path.join(sf_dir, "documents.parquet")
-    cols = list(DEFAULT_INDEX_CONFIG.doc_columns)
+    cols = list(DOC_COLUMNS)
     # the base is byte-identical to the shared pristine index — clone
     # it (atomically: copy to a tmp dir, rename in) instead of paying a
     # second full build; only the upsert below is this fixture's own

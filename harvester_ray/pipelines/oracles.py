@@ -15,7 +15,8 @@ rounding, same ranking rules — see relational.py / fulltext.py):
 
 from __future__ import annotations
 
-from harvester_ray.config import DEFAULT_INDEX_CONFIG
+from harvester_ray.index.build import BM25_B as _B
+from harvester_ray.index.build import BM25_K1 as _K1
 from harvester_ray.pipelines.fulltext import TOP_K, queries_for_mode
 from harvester_ray.pipelines.relational import (
     ANN_QUERY_VEC_ID,
@@ -23,9 +24,6 @@ from harvester_ray.pipelines.relational import (
     SESSION_GAP_MIN,
     STOPWORDS,
 )
-
-_K1 = DEFAULT_INDEX_CONFIG.bm25.k1
-_B = DEFAULT_INDEX_CONFIG.bm25.b
 
 _TOKS = (
     "SELECT doc_id, unnest(regexp_extract_all(lower(text), '[a-z0-9]+')) AS term "

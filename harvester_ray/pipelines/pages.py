@@ -21,7 +21,7 @@ from harvester_ray.config import DEFAULT_INDEX_CONFIG, IndexConfig
 from harvester_ray.corpus import write_corpus
 from harvester_ray.index.build import ENGINE_VERSION, IndexPaths, build_index
 from harvester_ray.pipelines.fulltext import _query_pool
-from harvester_ray.stages.extract import extract_pages
+from harvester_ray.stages.extract import EXTRACT_BATCH_ROWS, extract_pages
 from harvester_ray.state.lineage import dir_fingerprint
 
 CACHE_ROOT = "/tmp/harvester_ray_cache"
@@ -60,9 +60,7 @@ def _extract_page_files(
         # shares the extraction's task cap so the two fuse into one task
         pages = ray.data.read_parquet(src, override_num_blocks=1)
         extract_pages(
-            pages,
-            batch_size=cfg.extract_batch_size,
-            concurrency=cfg.extract_concurrency,
+            pages, concurrency=cfg.extract_concurrency
         ).write_parquet(tmp, concurrency=cfg.extract_concurrency)
 
     extracted_dir = os.path.join(out_dir, "extracted")
@@ -275,7 +273,7 @@ def pages_bm25f(sf_dir: str | None = None, n_pages: int = 500) -> pa.Table:
         ).map_batches(
             extract_fielded_batch,
             batch_format="pyarrow",
-            batch_size=DEFAULT_INDEX_CONFIG.extract_batch_size,
+            batch_size=EXTRACT_BATCH_ROWS,
             concurrency=DEFAULT_INDEX_CONFIG.extract_concurrency,
             zero_copy_batch=True,
         )

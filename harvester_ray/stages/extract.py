@@ -14,7 +14,7 @@ content dropped. corpus.generate_pages emits HTML whose expected text
 follows exactly this spec, giving the golden byte-equality tests.
 
 Ray shape: ``pages.map_batches(extract_batch, batch_format="pyarrow",
-batch_size=cfg.extract_batch_size, concurrency=cfg.extract_concurrency)``
+batch_size=EXTRACT_BATCH_ROWS, concurrency=cfg.extract_concurrency)``
 — HTML rows are potentially MBs, so batches stay small and blocks stay
 zero-copy Arrow (SURVEY.md §7 hard parts (a),(f)). The only state is a
 stdlib HTMLParser, built per batch, so the map runs as tasks on pooled
@@ -31,6 +31,10 @@ import numpy as np
 import pyarrow as pa
 
 from harvester_ray.functions.text import hash64
+
+# rows per extraction batch: HTML rows can be MBs, so batches stay small
+# (FIXTURES/SURVEY hard part (f))
+EXTRACT_BATCH_ROWS = 128
 
 REJECT_EMPTY_TEXT = "empty_text"
 REJECT_MISSING_LANG = "missing_lang"
@@ -136,9 +140,7 @@ def extract_batch(batch: pa.Table) -> pa.Table:
 
 
 def extract_pages(
-    pages: "ray.data.Dataset",
-    batch_size: int = 128,
-    concurrency: int | None = None,
+    pages: "ray.data.Dataset", concurrency: int | None = None
 ) -> "ray.data.Dataset":
     """pages (url, warc_ts, html, text, lang) → extracted table, as
     tasks. ``concurrency`` caps the concurrent extraction tasks (None:
@@ -146,7 +148,7 @@ def extract_pages(
     return pages.map_batches(
         extract_batch,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=EXTRACT_BATCH_ROWS,
         concurrency=concurrency,
         zero_copy_batch=True,
     )

@@ -42,74 +42,14 @@ def test_signed_deltas_roundtrip_via_view():
     np.testing.assert_array_equal(back, ids)
 
 
-def test_bitpack_roundtrip():
-    import numpy as np
-
-    from harvester_ray.functions.codec import bitpack_decode, bitpack_encode
-
-    rng = np.random.default_rng(0)
-    cases = [
-        np.array([], dtype=np.uint64),
-        np.zeros(7, dtype=np.uint64),
-        np.array([1], dtype=np.uint64),
-        rng.integers(0, 2**7, 128).astype(np.uint64),
-        rng.integers(0, 2**33, 128).astype(np.uint64),
-        np.array([0, 2**63, 2**64 - 1], dtype=np.uint64),
-    ]
-    for v in cases:
-        buf = bitpack_encode(v)
-        assert np.array_equal(bitpack_decode(buf), v)
-    # FOR packing is tighter than varint on uniform-width blocks
-    from harvester_ray.functions.codec import varint_encode
-
-    wide = rng.integers(2**20, 2**21, 128).astype(np.uint64)
-    assert len(bitpack_encode(wide)) < len(varint_encode(wide))
-
-
-def test_for_codec_index_rank_identical(tmp_path, ray_session):
-    """An index built with the FOR bit-packed codec serves results
-    rank+score-identical to the varint index on the same corpus,
-    across dense OR / AND / WAND paths."""
-    import ray.data
-
-    from harvester_ray.config import IndexConfig
-    from harvester_ray.corpus import generate_zipf_docs
-    from harvester_ray.index.build import build_index
-    from harvester_ray.index.query import InvertedIndex
-
-    docs = generate_zipf_docs(300, vocab_size=400, mean_len=40, seed=13)
-    idx = {}
-    for codec in ("varint", "for", "pfor"):
-        out = str(tmp_path / f"idx_{codec}")
-        build_index(
-            ray.data.from_arrow(docs), out,
-            IndexConfig(codec=codec), n_docs=len(docs),
-        )
-        idx[codec] = InvertedIndex(out, preload=True)
-    assert idx["for"].stats["codec"] == "for"
-    assert idx["pfor"].stats["codec"] == "pfor"
-    for q, mode, algo in [
-        ("w0 w1", "or", "auto"),
-        ("w0 w1", "or", "wand"),
-        ("w5 w55", "and", "auto"),
-        ("w3 w33 w333", "or", "wand"),
-    ]:
-        a = idx["varint"].search(q, k=10, mode=mode, algorithm=algo)
-        b = idx["for"].search(q, k=10, mode=mode, algorithm=algo)
-        c = idx["pfor"].search(q, k=10, mode=mode, algorithm=algo)
-        assert a == b == c, (q, mode, algo)
-
-
 def test_codec_property_roundtrips():
-    """Hypothesis: arbitrary uint64 arrays round-trip through BOTH
-    codecs, and varint offsets slice-decode consistently."""
+    """Hypothesis: arbitrary uint64 arrays round-trip through varint,
+    and varint offsets slice-decode consistently."""
     import numpy as np
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
     from harvester_ray.functions.codec import (
-        bitpack_decode,
-        bitpack_encode,
         varint_decode,
         varint_encode_offsets,
     )
@@ -132,40 +72,84 @@ def test_codec_property_roundtrips():
                 assert np.array_equal(
                     varint_decode(buf[: ends[k - 1]]), v[:k]
                 )
-        assert np.array_equal(bitpack_decode(bitpack_encode(v)), v)
 
     check()
 
 
-def test_pfor_property_roundtrip():
-    """Hypothesis: arbitrary uint64 arrays round-trip through pfor, and
-    pfor beats plain FOR on outlier-skewed blocks."""
-    import numpy as np
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+def test_corrupt_block_stream_raises_value_error():
+    """decode_all checks the bytes it read from disk with an explicit
+    error, not an assert that ``python -O`` strips: one block whose gap
+    stream carries an extra zero gap (two block starts for one block)
+    is rejected."""
+    from harvester_ray.index.query import _TermBlocks
 
-    from harvester_ray.functions.codec import (
-        bitpack_encode,
-        pfor_decode,
-        pfor_encode,
+    def col(values):
+        buf = varint_encode(np.array(values, np.uint64))
+        return memoryview(buf), np.array([0, len(buf)], np.int64)
+
+    tb = _TermBlocks(
+        np.array([10], np.int64), np.array([13], np.int64),
+        np.array([1.0]), 1.0,
+        col([0, 0, 3]), col([1, 1, 1]), col([5, 5, 5]),
     )
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(
-            st.integers(min_value=0, max_value=2**64 - 1),
-            min_size=0,
-            max_size=300,
-        )
+    with pytest.raises(ValueError, match="corrupt block stream"):
+        tb.decode_all()
+    ok = _TermBlocks(
+        np.array([10], np.int64), np.array([13], np.int64),
+        np.array([1.0]), 1.0,
+        col([0, 1, 2]), col([1, 2, 1]), col([5, 6, 5]),
     )
-    def check(xs):
-        v = np.array(xs, dtype=np.uint64)
-        assert np.array_equal(pfor_decode(pfor_encode(v)), v)
+    ids, tf, dl = ok.decode_all()
+    assert ids.tolist() == [10, 11, 13]
+    assert tf.tolist() == [1, 2, 1] and dl.tolist() == [5, 6, 5]
 
-    check()
 
-    rng = np.random.default_rng(11)
-    skewed = np.concatenate(
-        [rng.integers(0, 16, 120), rng.integers(1 << 40, 1 << 50, 8)]
-    ).astype(np.uint64)
-    assert len(pfor_encode(skewed)) < len(bitpack_encode(skewed))
+def test_non_varint_source_is_rejected(tmp_path, ray_session):
+    """A source whose stats.json names another block codec is refused by
+    every open (preload, lazy, reopen, a serving cell) and by
+    merge_sources, which raises before it touches its out dir; reading
+    the varint bytes with another decoder would serve wrong postings."""
+    import json
+    import os
+
+    import ray.data
+
+    from harvester_ray.corpus import generate_zipf_docs
+    from harvester_ray.index.build import build_index
+    from harvester_ray.index.maintenance import merge_sources
+    from harvester_ray.index.query import InvertedIndex
+
+    docs = generate_zipf_docs(200, vocab_size=300, mean_len=30, seed=5)
+    idx_dir = str(tmp_path / "idx")
+    paths = build_index(ray.data.from_arrow(docs), idx_dir, n_docs=len(docs))
+    with open(paths.stats) as f:
+        stats = json.load(f)
+    assert stats["codec"] == "varint"
+    live = InvertedIndex(idx_dir)
+    assert live.search("w0 w1", k=5)
+
+    stats["codec"] = "for"
+    with open(paths.stats, "w") as f:
+        json.dump(stats, f)
+    for kwargs in ({"preload": True}, {"preload": False},
+                   {"term_shard": (0, 2)}):
+        with pytest.raises(ValueError, match="'for'"):
+            InvertedIndex(idx_dir, **kwargs)
+    with pytest.raises(ValueError, match="'for'"):
+        live.reopen()
+
+    out_dir = tmp_path / "merged"
+    out_dir.mkdir()
+    (out_dir / "keep.bin").write_bytes(b"previous contents")
+
+    def snapshot():
+        return {
+            os.path.relpath(os.path.join(r, f), out_dir):
+                open(os.path.join(r, f), "rb").read()
+            for r, _, fs in os.walk(out_dir) for f in fs
+        }
+
+    before = snapshot()
+    with pytest.raises(ValueError, match="'for'"):
+        merge_sources(idx_dir, str(out_dir))
+    assert snapshot() == before

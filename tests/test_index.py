@@ -10,7 +10,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from harvester_ray.config import BM25Params, IndexConfig
+from harvester_ray.config import IndexConfig
 from harvester_ray.functions.text import tokenize
 from harvester_ray.index.build import build_index, spimi_postings_batch
 from harvester_ray.index.oracle import OracleIndex

@@ -56,8 +56,7 @@ def _engine_blocks(rows, block_size: int):
     total = int(pa.compute.sum(postings["tf"]).as_py() or 0)
     avgdl = total / n_docs if n_docs else 0.0
     table = _BlockTable(
-        encode_postings(postings, avgdl, 1.2, 0.75, block_size, "varint"),
-        "varint",
+        encode_postings(postings, avgdl, 1.2, 0.75, block_size)
     )
     terms, df = np.unique(
         postings["term"].to_numpy(zero_copy_only=False), return_counts=True
