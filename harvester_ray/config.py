@@ -8,7 +8,17 @@ caller sets; fixed values are constants of the modules that use them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+
+
+def cache_root() -> str:
+    """Root directory of the pipelines' cached artifacts (generated
+    corpora, built indexes, ANN layouts, backups): the
+    ``HARVESTER_RAY_CACHE`` environment path, else
+    /tmp/harvester_ray_cache. Read at each call, so a process (or a
+    test) that sets the variable moves every artifact it builds after."""
+    return os.environ.get("HARVESTER_RAY_CACHE") or "/tmp/harvester_ray_cache"
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,19 @@ k per-term posting lists joined on doc_id inside the query actor —
 never a Ray-level shuffle. ``InvertedIndex.search`` has these paths,
 all rank-identical:
 
-- ``algorithm="auto"`` (the default) is exhaustive: every posting of
-  every query term is decoded and scored once. It is *dense* when the
+- ``algorithm="auto"`` (the default) is exact and *dense* when the
   index holds the doc table: each term's per-posting scores are cached
-  by doc slot and summed into one accumulator per query. Otherwise (a
-  term-shard cell, or a source with no readable doc table) it is
-  *sparse*: ``rank_scored_postings`` takes the k-way union (OR) or
-  sorted intersection (AND) of the per-term scored postings.
+  by doc slot. With the BM25 scorer and no exclusion or cursor it
+  scores only docs that can reach the top k: OR is MaxScore (terms
+  whose summed upper bounds fall below the largest single-term k-th
+  contribution are skipped as candidate sources, then gathered per
+  candidate), AND starts from the rarest term's slots. When those
+  candidates are not a small share of the docs, or under a custom
+  scorer, an exclusion or a cursor, every posting is summed into one
+  accumulator per query. Without a doc table (a term-shard cell, or a
+  source with no readable doc table) it is *sparse*:
+  ``rank_scored_postings`` takes the k-way union (OR) or sorted
+  intersection (AND) of the per-term scored postings.
 - ``algorithm="wand"`` with ``mode="or"``: Block-Max WAND, document at
   a time with per-term and per-block score upper bounds; it skips
   blocks that cannot enter the top-k.
@@ -20,7 +26,7 @@ all rank-identical:
   cannot beat the top-k threshold.
 
 A custom scorer, an excluded term or a search-after cursor sends a
-``wand`` query to the exhaustive path. ``QueryActor`` evaluates a
+``wand`` query to ``auto``'s exhaustive scoring. ``QueryActor`` evaluates a
 query table in batches (the stateful stage: a resident actor pool in
 the pipelines, a ``map_batches`` actor pool in the CLI — the analog of
 the reference's per-run Solr connection,
@@ -55,6 +61,19 @@ from harvester_ray.index.build import bm25_score, check_codec, string_terms
 # files by parsing the bucket id out of these
 _DICT_PART_RE = re.compile(r"^part-bucket(\d+)\.parquet$")
 _SEG_PART_RE = re.compile(r"^part-bucket(\d+)c(\d+)\.parquet$")
+
+# When the pruned paths give way to the dense accumulator: a searchsorted
+# gather costs more per posting than a bincount, so pruning pays only
+# while its candidate work is a small share of the n doc slots. OR: the
+# essential terms' postings; AND: the rarest term's postings times the
+# term count. Over the 2 500-query serve_zipf stream (70 k docs, seed 1,
+# in process, 1-core host) these shares gave p50/p99 0.24/3.1 ms;
+# pruning with no fallback 0.24/8.6 ms; the accumulator alone 1.50/4.0.
+_OR_SPARSE_SHARE = 1 / 8
+_AND_SPARSE_SHARE = 1 / 4
+# rank ties are round(score, 6): a score below (k-th score - EPS) rounds
+# strictly below it, so it can be dropped before any rounding
+_EPS = 1e-6
 
 
 def tfidf_score(
@@ -639,6 +658,7 @@ class InvertedIndex:
         # segment slice, independent of corpus size.
         self._slots: np.ndarray | None = None
         self._dense_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._bound_cache: dict[tuple[int, int], tuple[float, float]] = {}
         id_parts = [s.doc_ids for s in self._sources]
         if term_shard is None and all(p is not None for p in id_parts):
             self._slots = np.unique(np.concatenate(id_parts))
@@ -868,9 +888,13 @@ class InvertedIndex:
         The reference pages exactly this way through Solr's cursorMark
         (harvester/fetcher/solr_fetcher.py:41-44,124-125). WAND's
         threshold invariant doesn't hold under a cursor, so the
-        exhaustive paths serve paged queries."""
+        exhaustive paths serve paged queries.
+
+        ``k == 0`` returns []; a negative k raises ValueError."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0: {k}")
         terms = sorted(set(self.analyzer.tokenize(query)))
-        if not terms:
+        if not terms or k == 0:
             return []
         neg = (
             sorted(set(self.analyzer.tokenize(exclude)) - set(terms))
@@ -893,11 +917,14 @@ class InvertedIndex:
             and after is None
         ):
             return self._search_wand(terms, k)
-        # auto -> vectorized exhaustive: numpy decode+score is ~20 ns per
+        # auto -> the vectorized paths: numpy decode+score is ~20 ns per
         # posting, while the Python document-at-a-time WAND loop costs
-        # ~10 us per visited doc — block-max pruning only wins when it
-        # skips >99% of postings (very selective queries over huge df),
-        # which a caller opts into with algorithm="wand".
+        # ~10 us per visited doc, so "auto" prunes by set operations
+        # (MaxScore over cached per-term bounds, or the rarest term's
+        # slots for AND) and falls back to the dense accumulator when
+        # the candidates are not a small share of the docs. Block-max
+        # WAND wins only when it skips >99% of postings (very selective
+        # queries over huge df), which a caller opts into.
         return self._search_or(terms, k, neg, after)
 
     def explain(self, query: str, doc_id: int) -> dict:
@@ -952,18 +979,21 @@ class InvertedIndex:
 
     @staticmethod
     def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int, after=None):
-        if len(doc_ids) == 0:
-            return []
-        rounded = np.round(scores, 6)
+        """The one top-k (k >= 1) of every ranked path: (round-6 score
+        DESC, doc_id ASC), after the search-after cursor if given. A
+        partition on the raw scores keeps those >= kth - _EPS, which
+        holds every doc whose rounded score can tie the k-th; only those
+        survivors are rounded and lexsorted."""
         if after is not None:
+            rounded = np.round(scores, 6)
             cs, cd = float(np.round(after[0], 6)), int(after[1])
             elig = (rounded < cs) | ((rounded == cs) & (doc_ids > cd))
-            doc_ids, scores, rounded = (
-                doc_ids[elig], scores[elig], rounded[elig]
-            )
-            if len(doc_ids) == 0:
-                return []
-        order = np.lexsort((doc_ids, -rounded))[:k]
+            doc_ids, scores = doc_ids[elig], scores[elig]
+        if len(scores) > k:
+            kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+            keep = scores >= kth - _EPS
+            doc_ids, scores = doc_ids[keep], scores[keep]
+        order = np.lexsort((doc_ids, -np.round(scores, 6)))[:k]
         return [(int(doc_ids[i]), float(scores[i])) for i in order]
 
     def _term_dense(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -984,49 +1014,104 @@ class InvertedIndex:
         self._dense_cache[meta[0]] = (pos, scores)
         return pos, scores
 
+    def _term_bounds(self, term: str, scores: np.ndarray, k: int):
+        """(largest, k-th largest) per-posting contribution of one term,
+        0.0 where it has no posting or fewer than k; cached per
+        (term_id, k) beside its dense scores. k docs score at least the
+        k-th largest, since no BM25 contribution is negative."""
+        key = (self.dictionary[term][0], k)
+        b = self._bound_cache.get(key)
+        if b is None:
+            n = len(scores)
+            b = (
+                float(scores.max()) if n else 0.0,
+                float(np.partition(scores, n - k)[n - k]) if n >= k else 0.0,
+            )
+            self._bound_cache[key] = b
+        return b
+
     def _topk_dense(self, acc: np.ndarray, mask: np.ndarray, k: int, after=None):
-        """Top-k from a dense score accumulator: kth-value partition,
-        then exact (round-6 DESC, doc_id ASC) ordering of the boundary
-        candidates only. Tombstoned postings were already filtered at
-        decode (postings()), so fully-deleted docs never set the mask."""
+        """Top-k from a dense score accumulator over the doc slots.
+        Tombstoned postings were already filtered at decode
+        (postings()), so fully-deleted docs never set the mask."""
         cand = np.nonzero(mask)[0]
-        if len(cand) == 0:
-            return []
-        scores = acc[cand]
-        rounded = np.round(scores, 6)
-        if after is not None:
-            cs, cd = float(np.round(after[0], 6)), int(after[1])
-            ids_all = self._slots[cand]
-            elig = (rounded < cs) | ((rounded == cs) & (ids_all > cd))
-            cand, scores, rounded = cand[elig], scores[elig], rounded[elig]
-            if len(cand) == 0:
+        return self._topk(self._slots[cand], acc[cand], k, after)
+
+    def _topk_gathered(self, dense, cand: np.ndarray, k: int):
+        """Top-k over candidate slots (sorted): each term's contribution
+        is gathered by searchsorted into its slot array and added in
+        sorted-term order, the accumulator's order, so scores are
+        bit-identical to it."""
+        acc = np.zeros(len(cand), dtype=np.float64)
+        for pos, scores in dense:
+            if not len(pos):
+                continue  # every posting tombstoned: contributes nothing
+            i = np.minimum(np.searchsorted(pos, cand), len(pos) - 1)
+            acc += np.where(pos[i] == cand, scores[i], 0.0)
+        return self._topk(self._slots[cand], acc, k)
+
+    def _pruned_or(self, found, k: int):
+        """MaxScore (Turtle & Flood 1995) over the query's (term, dense
+        arrays) pairs, or None when the accumulator is the cheaper path.
+        theta, the largest k-th contribution of any one term, bounds the
+        k-th score from below; the terms of least upper bound whose
+        bounds sum below theta - _EPS are non-essential, as a doc holding
+        only them cannot rank in the top k. Candidates are the union of
+        the essential terms' slots."""
+        dense = [d for _, d in found]
+        bounds = [self._term_bounds(t, d[1], k) for t, d in found]
+        theta = max(kth for _, kth in bounds) - _EPS
+        by_ub = sorted(range(len(dense)), key=lambda i: bounds[i][0])
+        cut, total = 0, 0.0
+        while cut < len(by_ub):
+            total += bounds[by_ub[cut]][0]
+            if total >= theta:
+                break
+            cut += 1
+        essential = [dense[i][0] for i in by_ub[cut:]]
+        if sum(map(len, essential)) > len(self._slots) * _OR_SPARSE_SHARE:
+            return None
+        cand = (
+            essential[0]
+            if len(essential) == 1
+            else np.unique(np.concatenate(essential))
+        )
+        return self._topk_gathered(dense, cand, k)
+
+    def _pruned_and(self, dense, k: int):
+        """Conjunctive top-k from the rarest term's slots, kept where
+        every other term holds them; None when the accumulator is the
+        cheaper path."""
+        cand = min((d[0] for d in dense), key=len)
+        if len(cand) * len(dense) > len(self._slots) * _AND_SPARSE_SHARE:
+            return None
+        for pos, _ in dense:
+            if not len(cand):
                 return []
-        if len(cand) > k:
-            kth = np.partition(rounded, len(rounded) - k)[len(rounded) - k]
-            keep = rounded >= kth
-            cand, scores, rounded = cand[keep], scores[keep], rounded[keep]
-        order = np.lexsort((cand, -rounded))[:k]  # slots ascend with doc_id
-        ids = self._slots[cand[order]]
-        return [(int(d), float(s)) for d, s in zip(ids, scores[order])]
+            i = np.minimum(np.searchsorted(pos, cand), len(pos) - 1)
+            cand = cand[pos[i] == cand]
+        return self._topk_gathered(dense, cand, k)
 
     def _search_or(
         self, terms: list[str], k: int, neg: "list[str]" = (), after=None
     ):
         if self._slots is not None:
+            found = [
+                (t, d) for t in terms if (d := self._term_dense(t)) is not None
+            ]
+            if not found:
+                return []
+            if self.scorer is None and not neg and after is None:
+                got = self._pruned_or(found, k)
+                if got is not None:
+                    return got
             n = len(self._slots)
             acc = np.zeros(n, dtype=np.float64)
             hit = np.zeros(n, dtype=bool)
-            found = False
-            for t in terms:  # sorted order -> deterministic accumulation
-                d = self._term_dense(t)
-                if d is None:
-                    continue
-                found = True
-                pos, scores = d
+            # sorted order -> deterministic accumulation
+            for _, (pos, scores) in found:
                 acc += np.bincount(pos, weights=scores, minlength=n)
                 hit[pos] = True
-            if not found:
-                return []
             if neg:
                 ex = self._excluded_docs(list(neg))
                 if ex is not None:
@@ -1041,14 +1126,18 @@ class InvertedIndex:
         self, terms: list[str], k: int, neg: "list[str]" = (), after=None
     ):
         if self._slots is not None:
+            dense = [self._term_dense(t) for t in terms]
+            if any(d is None for d in dense):
+                return []  # conjunctive + missing term -> empty
+            if self.scorer is None and not neg and after is None:
+                got = self._pruned_and(dense, k)
+                if got is not None:
+                    return got
             n = len(self._slots)
             acc = np.zeros(n, dtype=np.float64)
             cnt = np.zeros(n, dtype=np.int32)
-            for t in terms:  # sorted order -> deterministic accumulation
-                d = self._term_dense(t)
-                if d is None:
-                    return []  # conjunctive + missing term -> empty
-                pos, scores = d
+            # sorted order -> deterministic accumulation
+            for pos, scores in dense:
                 acc += np.bincount(pos, weights=scores, minlength=n)
                 cnt[pos] += 1
             mask = cnt == len(terms)

@@ -15,7 +15,7 @@ import os
 import pyarrow as pa
 import ray.data
 
-from harvester_ray.config import DEFAULT_INDEX_CONFIG
+from harvester_ray.config import DEFAULT_INDEX_CONFIG, cache_root
 from harvester_ray.index.build import (
     DOC_COLUMNS,
     ENGINE_VERSION,
@@ -25,8 +25,6 @@ from harvester_ray.index.build import (
 from harvester_ray.index.query import QueryActor
 from harvester_ray.stages.joins import join_parquet_side
 from harvester_ray.stages.topk import topk_per_key
-
-CACHE_ROOT = "/tmp/harvester_ray_cache"
 
 # (query_id, query, mode) — stable ids; OR queries first, AND after.
 QUERY_SET: list[tuple[int, str, str]] = [
@@ -89,7 +87,7 @@ def index_for(sf_dir: str) -> IndexPaths:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"idx_{key}")
+    out = os.path.join(cache_root(), f"idx_{key}")
     paths = IndexPaths(out)
     if os.path.exists(paths.stats):
         return paths
@@ -1061,7 +1059,7 @@ def index_for_incremental(sf_dir: str) -> IndexPaths:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:incr".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"idx_{key}")
+    out = os.path.join(cache_root(), f"idx_{key}")
     paths = IndexPaths(out)
     if os.path.exists(paths.stats) and delta_dirs(out):
         return paths
@@ -1124,7 +1122,7 @@ def bm25_topk_or_sharded(sf_dir: str, n_shards: int = 4) -> "object":
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:chunks{n_shards}".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"idx_sh_{key}")
+    out = os.path.join(cache_root(), f"idx_sh_{key}")
     paths = IndexPaths(out)
     if not os.path.exists(paths.stats):
         docs = ray.data.read_parquet(
@@ -1176,7 +1174,7 @@ def search_facets_sharded(sf_dir: str, n_shards: int = 4) -> "object":
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:chunks{n_shards}".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"idx_sh_{key}")
+    out = os.path.join(cache_root(), f"idx_sh_{key}")
     paths = IndexPaths(out)
     if not os.path.exists(paths.stats):
         docs = ray.data.read_parquet(
@@ -1247,7 +1245,7 @@ def term_dictionary_merged(sf_dir: str) -> pa.Table:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:merged".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"idx_{key}")
+    out = os.path.join(cache_root(), f"idx_{key}")
     paths = IndexPaths(out)
     if not os.path.exists(paths.stats):
         paths = merge_sources(inc.root, out)
@@ -1278,7 +1276,7 @@ def positions_for(sf_dir: str) -> str:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:pos{POSITIONAL_VERSION}".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"pos_{key}")
+    out = os.path.join(cache_root(), f"pos_{key}")
     src = os.path.join(sf_dir, "documents.parquet")
     if os.path.exists(os.path.join(out, "stats.json")):
         return out
@@ -1332,8 +1330,8 @@ def chunk_corpus_for(sf_dir: str) -> tuple[IndexPaths, str]:
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:chunks:"
         f"{CHUNK_SIZE}:{CHUNK_OVERLAP}".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"idx_{key}")
-    mapping = os.path.join(CACHE_ROOT, f"chunkmap_{key}")
+    out = os.path.join(cache_root(), f"idx_{key}")
+    mapping = os.path.join(cache_root(), f"chunkmap_{key}")
     paths = IndexPaths(out)
     if os.path.exists(paths.stats) and os.path.isdir(mapping):
         return paths, mapping
@@ -2192,7 +2190,7 @@ def index_for_porter(sf_dir: str) -> IndexPaths:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:porter".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"idx_{key}")
+    out = os.path.join(cache_root(), f"idx_{key}")
     paths = IndexPaths(out)
     if os.path.exists(paths.stats):
         return paths
@@ -2239,7 +2237,7 @@ def field_indexes_for(sf_dir: str) -> dict[str, IndexPaths]:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:fielded".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"fidx_{key}")
+    out = os.path.join(cache_root(), f"fidx_{key}")
     done = {
         name: IndexPaths(os.path.join(out, name))
         for name in ("title", "body")
@@ -3653,7 +3651,7 @@ def index_for_atomic(sf_dir: str) -> IndexPaths:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:atom".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"idx_{key}")
+    out = os.path.join(cache_root(), f"idx_{key}")
     paths = IndexPaths(out)
     if (
         os.path.exists(paths.stats)
@@ -4218,7 +4216,7 @@ def index_for_cdc(sf_dir: str) -> IndexPaths:
     key = hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}:cdc".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"idx_{key}")
+    out = os.path.join(cache_root(), f"idx_{key}")
     paths = IndexPaths(out)
     if os.path.exists(paths.stats) and len(
         load_tombstones_scoped(out)
@@ -4357,7 +4355,7 @@ def index_backup(sf_dir: str) -> pa.Table:
     from harvester_ray.state.backup import backup_index, verify_backup
 
     paths = index_for(sf_dir)
-    snaps = os.path.join(CACHE_ROOT, "backups_" + hashlib.md5(
+    snaps = os.path.join(cache_root(), "backups_" + hashlib.md5(
         f"{os.path.abspath(sf_dir)}:{ENGINE_VERSION}".encode()
     ).hexdigest()[:12])
     snap = backup_index(paths.root, snaps)

@@ -17,19 +17,17 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
-from harvester_ray.config import DEFAULT_INDEX_CONFIG, IndexConfig
+from harvester_ray.config import DEFAULT_INDEX_CONFIG, IndexConfig, cache_root
 from harvester_ray.corpus import write_corpus
 from harvester_ray.index.build import ENGINE_VERSION, IndexPaths, build_index
 from harvester_ray.pipelines.fulltext import _query_pool
 from harvester_ray.stages.extract import EXTRACT_BATCH_ROWS, extract_pages
 from harvester_ray.state.lineage import dir_fingerprint
 
-CACHE_ROOT = "/tmp/harvester_ray_cache"
-
 
 def pages_corpus(n_pages: int = 500, seed: int = 42) -> str:
     """Deterministic synthetic pages+queries parquet, cached on disk."""
-    out = os.path.join(CACHE_ROOT, f"pages_{n_pages}_s{seed}")
+    out = os.path.join(cache_root(), f"pages_{n_pages}_s{seed}")
     if not os.path.exists(os.path.join(out, "pages.parquet")):
         write_corpus(out, n_pages, seed)
     return out
@@ -218,7 +216,7 @@ def pages_flagship(sf_dir: str | None = None, n_pages: int = 500) -> "ray.data.D
     ``sf_dir`` ignored — the pages table is generated, FIXTURES.md §1):
     returns (query_id, rank, doc_id) for the generated query set."""
     corpus = pages_corpus(n_pages)
-    out_dir = os.path.join(CACHE_ROOT, f"pages_idx_{n_pages}_v{ENGINE_VERSION}")
+    out_dir = os.path.join(cache_root(), f"pages_idx_{n_pages}_v{ENGINE_VERSION}")
     paths = build_pages_index(corpus, out_dir)
     return _query_pool(
         paths, pq.read_table(os.path.join(corpus, "queries.parquet")), k=10
@@ -258,11 +256,11 @@ def pages_bm25f(sf_dir: str | None = None, n_pages: int = 500) -> pa.Table:
 
     corpus = pages_corpus(n_pages)
     main_paths = build_pages_index(
-        corpus, os.path.join(CACHE_ROOT, f"pages_idx_{n_pages}_v{ENGINE_VERSION}")
+        corpus, os.path.join(cache_root(), f"pages_idx_{n_pages}_v{ENGINE_VERSION}")
     )
     with open(main_paths.stats) as f:
         n_docs = int(json.load(f)["n_docs"])
-    fdir = os.path.join(CACHE_ROOT, f"pages_fidx_{n_pages}_v{ENGINE_VERSION}")
+    fdir = os.path.join(cache_root(), f"pages_fidx_{n_pages}_v{ENGINE_VERSION}")
     field_paths = {
         name: IndexPaths(os.path.join(fdir, name))
         for name in ("title", "body")
@@ -340,7 +338,7 @@ def recrawl_corpus(n_pages: int = 500, seed: int = 42) -> str:
     import numpy as np
 
     base = pages_corpus(n_pages, seed)
-    out = os.path.join(CACHE_ROOT, f"recrawl_{n_pages}_s{seed}")
+    out = os.path.join(cache_root(), f"recrawl_{n_pages}_s{seed}")
     dst = os.path.join(out, "pages.parquet")
     if not os.path.exists(dst):
         os.makedirs(out, exist_ok=True)
@@ -741,7 +739,7 @@ def pages_recrawl_sync(
     rc = recrawl_corpus(n_pages)
     base = pages_corpus(n_pages)
     work = os.path.join(
-        CACHE_ROOT, f"recrawl_sync_{n_pages}_m1_v{ENGINE_VERSION}"
+        cache_root(), f"recrawl_sync_{n_pages}_m1_v{ENGINE_VERSION}"
     )
     # compact immediately after any delta: merged stats purge
     # tombstones, so serving is EXACTLY the from-scratch rebuild

@@ -1535,14 +1535,14 @@ def _emb_block_layout(sf_dir: str, n_blocks: int) -> str:
     ever sees more than two blocks."""
     import hashlib as _hashlib
 
-    from harvester_ray.stages.similarity import CACHE_ROOT
+    from harvester_ray.config import cache_root
     from harvester_ray.state.lineage import dir_fingerprint, run_stage
 
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
     key = _hashlib.md5(
         f"{os.path.abspath(emb_path)}|{n_blocks}".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"emb_blocks_{key}")
+    out = os.path.join(cache_root(), f"emb_blocks_{key}")
 
     def tag(t: pa.Table) -> pa.Table:
         v = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -25,11 +25,12 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
+from harvester_ray.config import cache_root
+
 LSH_BITS = 8
 LSH_SEED = 42
 ANN_QUERY_VEC_ID = 0
 ANN_TOP_K = 20
-CACHE_ROOT = "/tmp/harvester_ray_cache"
 
 
 def _hyperplanes(dim: int) -> np.ndarray:
@@ -97,7 +98,7 @@ def bucketed_layout(sf_dir: str) -> str:
 
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
     key = hashlib.md5(os.path.abspath(emb_path).encode()).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"emb_lsh_{key}")
+    out = os.path.join(cache_root(), f"emb_lsh_{key}")
     dim = _emb_dim(emb_path)
 
     def write(tmp: str) -> None:
@@ -211,7 +212,7 @@ def ivf_layout(sf_dir: str) -> str:
     key = hashlib.md5(
         f"{os.path.abspath(emb_path)}:ivf".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"emb_ivf_{key}")
+    out = os.path.join(cache_root(), f"emb_ivf_{key}")
 
     def write(tmp: str) -> None:
         pf = pq.ParquetFile(emb_path)
@@ -389,7 +390,7 @@ def pq_codes_layout(sf_dir: str) -> str:
     key = hashlib.md5(
         f"{os.path.abspath(emb_path)}:pqc".encode()
     ).hexdigest()[:16]
-    out = os.path.join(CACHE_ROOT, f"emb_pqc_{key}")
+    out = os.path.join(cache_root(), f"emb_pqc_{key}")
 
     def write(tmp: str) -> None:
         pf = pq.ParquetFile(emb_path)

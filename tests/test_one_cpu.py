@@ -162,11 +162,10 @@ import sys
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
-
-from harvester_ray.pipelines import pages
+import ray.data
 
 work = sys.argv[1]
-pages.CACHE_ROOT = os.path.join(work, "cache")
+os.environ["HARVESTER_RAY_CACHE"] = os.path.join(work, "cache")
 ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
 ray.data.DataContext.get_current().enable_progress_bars = False
 for name, mod, fn, kwargs in %r:
@@ -188,10 +187,8 @@ def _sorted_rows(t: pa.Table) -> list:
 def test_stateless_stages_and_pages_queries_progress_on_one_cpu(
     tmp_path, monkeypatch, ray_session
 ):
-    from harvester_ray.pipelines import pages
-
     _run_one_cpu(STAGE_SCRIPT, str(tmp_path))
-    monkeypatch.setattr(pages, "CACHE_ROOT", str(tmp_path / "cache4"))
+    monkeypatch.setenv("HARVESTER_RAY_CACHE", str(tmp_path / "cache4"))
     for name, mod, fn, kwargs in STAGE_CALLS:
         df = getattr(importlib.import_module(mod), fn)(**kwargs).to_pandas()
         want = pa.Table.from_pandas(df, preserve_index=False)

@@ -38,7 +38,7 @@ def emb_dir(tmp_path, monkeypatch):
         ),
         str(tmp_path / "embeddings.parquet"),
     )
-    monkeypatch.setattr(similarity, "CACHE_ROOT", str(tmp_path / "cache"))
+    monkeypatch.setenv("HARVESTER_RAY_CACHE", str(tmp_path / "cache"))
     return str(tmp_path), E
 
 

@@ -258,15 +258,15 @@ def test_recrawl_threshold_abort_leaves_index_unchanged(ray_session):
     import pytest
 
     from harvester_ray.index.build import ENGINE_VERSION
+    from harvester_ray.config import cache_root
     from harvester_ray.pipelines.pages import (
-        CACHE_ROOT,
         IngestThresholds,
         IngestThresholdExceeded,
         pages_recrawl_sync,
     )
 
     n = 240  # private n_pages -> private work dir, no gate-cache clash
-    work = os.path.join(CACHE_ROOT, f"recrawl_sync_{n}_m1_v{ENGINE_VERSION}")
+    work = os.path.join(cache_root(), f"recrawl_sync_{n}_m1_v{ENGINE_VERSION}")
     shutil.rmtree(work, ignore_errors=True)
 
     tight = IngestThresholds(added=100_000, changed=0, deleted=1_000)
