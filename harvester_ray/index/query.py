@@ -979,17 +979,17 @@ class InvertedIndex:
 
     @staticmethod
     def _topk(doc_ids: np.ndarray, scores: np.ndarray, k: int, after=None):
-        """The one top-k (k >= 1) of every ranked path: (round-6 score
-        DESC, doc_id ASC), after the search-after cursor if given. A
-        partition on the raw scores keeps those >= kth - _EPS, which
-        holds every doc whose rounded score can tie the k-th; only those
-        survivors are rounded and lexsorted."""
+        """The one top-k of every ranked path: (round-6 score DESC,
+        doc_id ASC), after the search-after cursor if given; [] for
+        k = 0. A partition on the raw scores keeps those >= kth - _EPS,
+        which holds every doc whose rounded score can tie the k-th; only
+        those survivors are rounded and lexsorted."""
         if after is not None:
             rounded = np.round(scores, 6)
             cs, cd = float(np.round(after[0], 6)), int(after[1])
             elig = (rounded < cs) | ((rounded == cs) & (doc_ids > cd))
             doc_ids, scores = doc_ids[elig], scores[elig]
-        if len(scores) > k:
+        if 0 < k < len(scores):
             kth = np.partition(scores, len(scores) - k)[len(scores) - k]
             keep = scores >= kth - _EPS
             doc_ids, scores = doc_ids[keep], scores[keep]

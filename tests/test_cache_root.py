@@ -6,19 +6,20 @@ import harvester_ray
 from harvester_ray.pipelines import fulltext, pages
 from harvester_ray.stages import dedup, similarity
 
-SF = "/root/testdata/sf0.001"
 DEFAULT = "/tmp/harvester_ray_cache"
 
 
-def test_cache_override_moves_every_artifact(tmp_path, monkeypatch, ray_session):
+def test_cache_override_moves_every_artifact(
+    tmp_path, monkeypatch, ray_session, sf_dir
+):
     root = str(tmp_path / "cache")
     monkeypatch.setenv("HARVESTER_RAY_CACHE", root)
     # one producer of each module that caches
     made = [
         pages.pages_corpus(n_pages=30, seed=3),
-        fulltext.index_for(SF).root,
-        similarity.bucketed_layout(SF),
-        dedup._emb_block_layout(SF, 2),
+        fulltext.index_for(sf_dir).root,
+        similarity.bucketed_layout(sf_dir),
+        dedup._emb_block_layout(sf_dir, 2),
     ]
     for path in made:
         assert os.path.commonpath([root, path]) == root, path

@@ -19,7 +19,7 @@ from harvester_ray.config import DEFAULT_INDEX_CONFIG
 from harvester_ray.corpus import generate_zipf_docs
 from harvester_ray.index.build import bm25_score, build_index
 from harvester_ray.index.maintenance import add_docs, delete_docs
-from harvester_ray.index.query import InvertedIndex
+from harvester_ray.index.query import InvertedIndex, rank_scored_postings
 
 CFG = replace(DEFAULT_INDEX_CONFIG, segment_doc_chunks=2)
 N_BASE, N_ADD, N_TIES = 3000, 1000, 15
@@ -177,3 +177,12 @@ def test_k_zero_and_negative(indexes, algorithm, mode):
     assert idx.search(q, k=0, mode=mode, algorithm=algorithm) == []
     with pytest.raises(ValueError, match="-3"):
         idx.search(q, k=-3, mode=mode, algorithm=algorithm)
+
+
+def test_rank_scored_postings_k_zero():
+    """The term-routed serving grid ranks through rank_scored_postings,
+    which shares InvertedIndex._topk: k = 0 is [] there too."""
+    parts = [(np.array([1, 2, 3]), np.array([0.5, 0.2, 0.9]))]
+    for mode in ("or", "and"):
+        assert rank_scored_postings(parts, 0, mode) == []
+        assert rank_scored_postings(parts, 2, mode) == [(3, 0.9), (1, 0.5)]
