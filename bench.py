@@ -319,6 +319,13 @@ def run_bench(scaling_child: bool = False) -> dict:
         for f in os.listdir(zb["paths"].segments)
         if f.endswith(".parquet")
     )
+    # every file the build leaves: segments, dictionary, doc table,
+    # lineage records and stats
+    index_bytes = sum(
+        os.path.getsize(os.path.join(d, f))
+        for d, _dirs, files in os.walk(zb["paths"].root)
+        for f in files
+    )
     shutil.rmtree(zb["out_dir"], ignore_errors=True)
     result = {
         "metric": (
@@ -339,6 +346,7 @@ def run_bench(scaling_child: bool = False) -> dict:
         "docs_per_sec": round(ZIPF_DOCS / zb["sec"], 1),
         "build_samples_sec": [round(s, 3) for s in build_secs],
         "segment_bytes": int(seg_bytes),
+        "index_bytes": int(index_bytes),
         "segment_bytes_per_doc": round(seg_bytes / max(1, ZIPF_DOCS), 1),
         # measured machine speed (M spin-iters/s aggregate at NUM_CPUS
         # procs): divides out the host's invisible throttling when

@@ -16,9 +16,13 @@ Solr replaced by our own segment format. Pipeline shape (SURVEY.md §7):
       segments/    encode_postings per doc chunk: (term_id, doc_id)
                    lexsort → run split → block encode
 
-``maintenance.merge_sources`` re-runs the same two per-bucket
-functions over the sources' retained postings, so a merged index and a
-fresh build encode identically.
+The segments are the one stored copy of the postings. The hive-bucketed
+SPIMI postings are the shuffle's scratch: ``build_index`` deletes them
+once ``segments/`` commits. Every later reader decodes the segments
+(``decode_blocks``, ``read_segment_postings``); ``maintenance.
+merge_sources`` decodes them per term bucket and re-runs the same two
+per-bucket functions, so a merged index and a fresh build encode
+identically.
 
 Key design points for 100 TB scale:
 
@@ -41,7 +45,9 @@ Key design points for 100 TB scale:
 
 Indexes written by the retired sort and salted group-by strategies
 (``stats.json`` ``segment_strategy`` other than "bucket") still open
-and search single-process; they cannot be sharded or merged.
+and search single-process; they cannot be sharded or merged. Indexes
+written before the scratch was deleted still hold ``spimi/postings``;
+nothing reads it.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +67,7 @@ import ray
 import ray.data
 
 from harvester_ray.config import DEFAULT_INDEX_CONFIG, IndexConfig
-from harvester_ray.functions.codec import varint_encode_offsets
+from harvester_ray.functions.codec import varint_decode, varint_encode_offsets
 from harvester_ray.functions.text import (
     DEFAULT_ANALYZER,
     flatten_tokens,
@@ -95,7 +103,9 @@ _DRIVER_MERGE_BYTES = 256 * 1024 * 1024
 class IndexPaths:
     """Layout: stage 1 ("spimi") writes the term-bucketed postings and
     the doc table in ONE pass; dictionary and segments are separate
-    resumable stages."""
+    resumable stages. ``postings`` is the shuffle's scratch: it exists
+    only while a build runs (and in indexes written before it was
+    deleted); ``segments`` holds the one stored copy of the postings."""
 
     root: str
 
@@ -364,6 +374,99 @@ def encode_postings(
         terms_per_run, run_starts, run_ends,
         tid_s, did_s, tf[order], dl[order], avgdl, k1, b, bs,
     )
+
+
+# the segment columns decode_blocks reads
+DECODE_COLUMNS = (
+    "term", "term_id", "first_doc_id", "n", "doc_id_deltas", "tfs", "doc_lens",
+)
+# segment part file of (term bucket, doc chunk), as the segments stage
+# and merge_sources name it
+SEG_PART_RE = re.compile(r"^part-bucket(\d+)c(\d+)\.parquet$")
+
+
+def _value_bytes(col: "pa.ChunkedArray | pa.Array") -> memoryview:
+    """The bytes of a binary column's values, concatenated in row order:
+    a zero-copy slice of the Arrow data buffer (a chunked column is
+    combined first)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    _, off_buf, val_buf = col.buffers()
+    odt = np.int64 if pa.types.is_large_binary(col.type) else np.int32
+    off = np.frombuffer(off_buf, odt)[col.offset : col.offset + len(col) + 1]
+    values = memoryview(val_buf if val_buf is not None else b"").cast("B")
+    return values[int(off[0]) : int(off[-1])]
+
+
+def decode_blocks(t: pa.Table) -> pa.Table:
+    """Posting rows (term, term_id, doc_id, tf, doc_len) of segment block
+    rows: the inverse of ``encode_postings``, row for row in (term_id,
+    doc_id) order within each file's blocks. One varint decode per binary
+    column over its whole data buffer; doc ids are rebuilt with one
+    prefix sum, restarted at each block from ``first_doc_id`` (the
+    block's first gap is 0 by the format). int64 arithmetic wraps, so
+    gaps across the signed range round-trip. The one reader of stored
+    postings outside the query engine."""
+    t = string_terms(t)
+    n = t["n"].to_numpy(zero_copy_only=False).astype(np.int64)
+    gaps = varint_decode(_value_bytes(t["doc_id_deltas"])).view(np.int64)
+    tf = varint_decode(_value_bytes(t["tfs"])).astype(np.int32)
+    dl = varint_decode(_value_bytes(t["doc_lens"])).astype(np.int32)
+    total = int(n.sum())
+    if not len(gaps) == len(tf) == len(dl) == total:
+        raise ValueError(
+            f"corrupt segment blocks: n sums to {total}, decoded "
+            f"{len(gaps)} gaps, {len(tf)} tfs, {len(dl)} doc_lens"
+        )
+    cs = np.cumsum(gaps)
+    starts = np.cumsum(n) - n
+    first = t["first_doc_id"].to_numpy(zero_copy_only=False)
+    block = np.repeat(np.arange(len(n), dtype=np.int64), n)
+    ids = cs - cs[starts][block] + first[block]
+    return pa.table(
+        {
+            "term": pc.take(t["term"], pa.array(block)),
+            "term_id": pa.array(
+                t["term_id"].to_numpy(zero_copy_only=False)[block], pa.int64()
+            ),
+            "doc_id": pa.array(ids, pa.int64()),
+            "tf": pa.array(tf, pa.int32()),
+            "doc_len": pa.array(dl, pa.int32()),
+        }
+    )
+
+
+def read_segment_postings(
+    paths: "IndexPaths", terms=None
+) -> "ray.data.Dataset":
+    """One source's postings as a Dataset of (term, term_id, doc_id, tf,
+    doc_len) rows, decoded from its segments in tasks. ``terms``
+    restricts the decode to those terms' block rows. The term filter
+    runs in the decode task, not in the parquet read: a read filter
+    that empties a block hands Ray Data an empty block that skips the
+    decode and arrives downstream with no columns, and row-group
+    statistics on ``term`` prune little (blocks are in term_id order)."""
+    ds = ray.data.read_parquet(paths.segments, columns=list(DECODE_COLUMNS))
+    if terms is None:
+        return ds.map_batches(decode_blocks, batch_format="pyarrow")
+    wanted = pa.array(sorted(set(terms)), pa.string())
+
+    def decode_terms(t: pa.Table) -> pa.Table:
+        t = string_terms(t)
+        return decode_blocks(t.filter(pc.is_in(t["term"], value_set=wanted)))
+
+    return ds.map_batches(decode_terms, batch_format="pyarrow")
+
+
+def segment_files_by_bucket(seg_dir: str) -> dict[int, list[str]]:
+    """{term bucket: its segment part files, sorted} of one source's
+    segments directory (files named by ``SEG_PART_RE``)."""
+    out: dict[int, list[str]] = {}
+    for f in sorted(os.listdir(seg_dir)):
+        m = SEG_PART_RE.match(f)
+        if m is not None:
+            out.setdefault(int(m.group(1)), []).append(os.path.join(seg_dir, f))
+    return out
 
 
 def bucket_dictionary(t: pa.Table) -> pa.Table:
@@ -691,12 +794,15 @@ def build_index(
     with an unchanged ``input_fingerprint`` (pass the fingerprint of
     the source parquet, e.g. ``lineage.dir_fingerprint(src)``) resumes
     — completed stages are skipped. With ``input_fingerprint=None`` the
-    postings stage always re-runs (unknown provenance) but downstream
-    stages still resume off its content fingerprint.
+    SPIMI stage always re-runs (unknown provenance), and so do the
+    stages after it. The dictionary and segments stages are keyed on
+    the SPIMI stage's lineage key, not on its files: the term-bucketed
+    postings are scratch, deleted once the segments commit. A re-run
+    that must redo either stage after that re-runs the SPIMI pass.
     """
     import pyarrow.parquet as pq
 
-    from harvester_ray.state.lineage import dir_fingerprint, run_stage
+    from harvester_ray.state.lineage import run_stage, stage_is_current
 
     paths = IndexPaths(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -729,14 +835,16 @@ def build_index(
             zero_copy_batch=True,
         ).sum("rows")  # consume the count rows to drive the pass
 
-    run_stage(
-        "spimi",
-        paths.spimi,
-        input_fingerprint or f"unfingerprinted-{os.getpid()}-{id(docs)}",
-        write_spimi,
-        params=f"tokenizer=v{ENGINE_VERSION},analyzer={cfg.analyzer_name}",
-    )
-    postings_fp = dir_fingerprint(paths.spimi)
+    def run_spimi() -> str:
+        return run_stage(
+            "spimi",
+            paths.spimi,
+            input_fingerprint or f"unfingerprinted-{os.getpid()}-{id(docs)}",
+            write_spimi,
+            params=f"tokenizer=v{ENGINE_VERSION},analyzer={cfg.analyzer_name}",
+        )["key"]
+
+    spimi_key = run_spimi()
 
     # Cross-batch doc_id uniqueness + total token count in ONE read:
     # every doc-table row is one doc of one batch, so a doc_id
@@ -880,12 +988,23 @@ def build_index(
         f"k1={BM25_K1},b={BM25_B},avgdl={avgdl!r}"
     )
 
+    # an earlier run of this build deleted the scratch postings: a
+    # stage that cannot resume needs them, so redo the SPIMI pass
+    if not os.path.isdir(post_root) and not (
+        stage_is_current(paths.dictionary, spimi_key)
+        and stage_is_current(paths.segments, spimi_key, seg_params)
+    ):
+        shutil.rmtree(paths.spimi)
+        spimi_key = run_spimi()
+
     # Sequential staging: concurrent stage executions were measured to
     # contend destructively.
-    run_stage("dictionary", paths.dictionary, postings_fp, write_dictionary)
+    run_stage("dictionary", paths.dictionary, spimi_key, write_dictionary)
     run_stage(
-        "segments", paths.segments, postings_fp, write_segments, seg_params
+        "segments", paths.segments, spimi_key, write_segments, seg_params
     )
+    # the segments are the one stored copy: drop the shuffle's scratch
+    shutil.rmtree(post_root, ignore_errors=True)
 
     # term_id collision check (vocabulary-scale, driver-side; a
     # blake2b-64 collision would silently merge two terms' postings —

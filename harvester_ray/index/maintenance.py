@@ -312,19 +312,21 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
     background segment merge of a Lucene/Solr deployment
     (vs ``compact``, which re-runs the whole build from the doc source).
 
-    Works off each source's retained SPIMI postings hive buckets
-    (term_id is a stable hash of the term, so the id space needs no
-    remapping across sources; bucket layout is a function of term_id
-    and is identical across sources built with one config). Per term
-    bucket: read every source's partition, drop that source's scoped
-    tombstoned docs, concatenate, then run the build's own per-bucket
-    functions — ``build.bucket_dictionary`` and, per doc chunk,
-    ``build.encode_postings`` at the MERGED avgdl. Embarrassingly
-    parallel over buckets, no shuffle (the bucket co-partitioning IS
-    the partitioning assumption; documented per module docstring). The
-    merged index retains its own postings buckets, so it stays
-    re-mergeable. A source from a retired (non-bucket) strategy has no
-    postings buckets, and a source whose blocks are not varint
+    Works off each source's segments (term_id is a stable hash of the
+    term, so the id space needs no remapping across sources; the term
+    bucket of a segment file is a function of term_id and is identical
+    across sources built with one config). Per term bucket: decode every
+    source's segment files of that bucket (``build.decode_blocks``),
+    drop that source's scoped tombstoned docs, concatenate, then run the
+    build's own per-bucket functions — ``build.bucket_dictionary`` and,
+    per doc chunk, ``build.encode_postings`` at the MERGED avgdl.
+    Embarrassingly parallel over buckets, no shuffle (the bucket
+    co-partitioning IS the partitioning assumption; documented per
+    module docstring). The merged index stores its postings only in its
+    segments, as a fresh build does, so it stays re-mergeable; a
+    source's ``spimi/postings`` left by an older build is not read. A
+    source from a retired (non-bucket) strategy has no per-bucket
+    segment files, and a source whose blocks are not varint
     (``build.check_codec``) cannot be read; both are rejected before
     ``out_dir`` is touched.
 
@@ -340,22 +342,24 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
 
     from harvester_ray.index.build import (
         CODEC,
+        DECODE_COLUMNS,
         ENGINE_VERSION,
         _atomic_side_write,
         bucket_dictionary,
         check_codec,
         chunk_of_ids,
+        decode_blocks,
         encode_postings,
         legacy_chunk_bounds,
-        string_terms,
+        segment_files_by_bucket,
     )
 
     srcs = source_dirs(index_dir)
     stats = [_source_stats(s) for s in srcs]
     for src, st in zip(srcs, stats):
         check_codec(src, st)
-        # a retired strategy's postings have no bucket= dirs: merging
-        # would write an empty index over the live one
+        # a retired strategy's segment files carry no term bucket:
+        # merging would write an empty index over the live one
         if st.get("segment_strategy") != "bucket":
             raise ValueError(
                 f"merge_sources: source {src} was built with segment "
@@ -368,20 +372,15 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
             raise ValueError(
                 f"merge_sources: sources disagree on {key}: {vals}"
             )
-    for s in srcs:
-        if not os.path.isdir(IndexPaths(s).postings):
-            raise ValueError(
-                f"merge_sources needs the retained SPIMI postings of "
-                f"{s}; rebuild with compact() instead"
-            )
 
     dead = [deleted_for_source(index_dir, i) for i in range(len(srcs))]
     dead_refs = [ray.put(d) for d in dead]
-    src_post_roots = [IndexPaths(s).postings for s in srcs]
+    src_seg_files = [
+        segment_files_by_bucket(IndexPaths(s).segments) for s in srcs
+    ]
 
     out = IndexPaths(out_dir)
     shutil.rmtree(out_dir, ignore_errors=True)
-    os.makedirs(out.postings, exist_ok=True)
     os.makedirs(out.doc_table, exist_ok=True)
     os.makedirs(out.dictionary, exist_ok=True)
     os.makedirs(out.segments, exist_ok=True)
@@ -408,27 +407,16 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
     total_tokens = sum(b for _, b in sizes)
     avgdl = (total_tokens / n_docs) if n_docs else 0.0
 
-    buckets = sorted(
-        {
-            int(d.split("=", 1)[1])
-            for root in src_post_roots
-            if os.path.isdir(root)
-            for d in os.listdir(root)
-            if d.startswith("bucket=")
-        }
-    )
+    buckets = sorted({b for files in src_seg_files for b in files})
 
     def read_bucket_filtered(b: int) -> pa.Table | None:
         parts = []
-        for i, root in enumerate(src_post_roots):
-            d = os.path.join(root, f"bucket={b}")
-            if not os.path.isdir(d):
+        for i, files in enumerate(src_seg_files):
+            if b not in files:
                 continue
-            t = string_terms(
+            t = decode_blocks(
                 pq.read_table(
-                    d,
-                    columns=["term", "term_id", "doc_id", "tf", "doc_len"],
-                    use_threads=False,
+                    files[b], columns=list(DECODE_COLUMNS), use_threads=False
                 )
             )
             dd = ray.get(dead_refs[i])
@@ -459,9 +447,8 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
     b_ = float(stats[0]["b"])
     bs = int(stats[0]["block_size"])
 
-    # -- per-bucket: merged postings partition + dictionary part + ALL
-    # chunk segment encodes off ONE in-memory read (was 1 + n_chunks
-    # full bucket reads/filters per bucket)
+    # -- per-bucket: dictionary part + ALL chunk segment encodes off ONE
+    # decode of the bucket's segment files
     @ray.remote(num_cpus=1)
     def merge_bucket(b: int) -> int:
         pa.set_cpu_count(1)
@@ -469,18 +456,6 @@ def merge_sources(index_dir: str, out_dir: str) -> IndexPaths:
         if t is None:
             return 0
         did = t["doc_id"].to_numpy(zero_copy_only=False)
-        # merged postings land doc_id-sorted with sized row groups, so
-        # a future re-merge/rebuild gets the same pruned chunk reads as
-        # fresh SPIMI output (build.make_spimi_with_sides)
-        bdir = os.path.join(out.postings, f"bucket={b}")
-        os.makedirs(bdir, exist_ok=True)
-        rgs = (
-            max(1024, -(-len(t) // (4 * n_chunks))) if n_chunks > 1 else None
-        )
-        did_order = np.argsort(did, kind="stable")
-        _atomic_side_write(
-            t.take(pa.array(did_order)), bdir, "merged", row_group_size=rgs
-        )
         _atomic_side_write(
             bucket_dictionary(t), out.dictionary, f"bucket{b:05d}"
         )

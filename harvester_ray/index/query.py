@@ -54,13 +54,17 @@ import pyarrow.parquet as pq
 
 from harvester_ray.functions.codec import varint_decode
 from harvester_ray.functions.text import get_analyzer
-from harvester_ray.index.build import bm25_score, check_codec, string_terms
+from harvester_ray.index.build import (
+    SEG_PART_RE,
+    bm25_score,
+    check_codec,
+    string_terms,
+)
 
-# per-term-bucket artifact names (bucket strategy): dictionary parts
-# and (bucket, chunk) segment parts — the term-shard tier selects
+# per-term-bucket dictionary parts (bucket strategy); with the (bucket,
+# chunk) segment parts (build.SEG_PART_RE) the term-shard tier selects
 # files by parsing the bucket id out of these
 _DICT_PART_RE = re.compile(r"^part-bucket(\d+)\.parquet$")
-_SEG_PART_RE = re.compile(r"^part-bucket(\d+)c(\d+)\.parquet$")
 
 # When the pruned paths give way to the dense accumulator: a searchsorted
 # gather costs more per posting than a bincount, so pruning pays only
@@ -710,7 +714,7 @@ class InvertedIndex:
             if suffix is not None and not f.endswith(suffix):
                 return False
             if term_shard is not None:
-                m = _SEG_PART_RE.match(f)
+                m = SEG_PART_RE.match(f)
                 if m is None:
                     return False
                 ts, T = term_shard

@@ -66,8 +66,9 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 def term_row(term: str, num_term_buckets: int, n_term_shards: int) -> int:
     """The term row that serves ``term``: its build bucket
     ``hash64(term) (as uint64) % num_term_buckets`` — the assignment
-    the postings (build.make_spimi_with_sides) and the positional
-    store (positional.make_positions_batch) are written under — then
+    the segment files (``part-bucket{b}c{c}``, bucketed by
+    build.make_spimi_with_sides) and the positional store
+    (positional.make_positions_batch) are written under — then
     ``bucket % n_term_shards``."""
     return ((hash64(term) & _U64) % num_term_buckets) % n_term_shards
 

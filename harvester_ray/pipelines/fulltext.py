@@ -21,9 +21,10 @@ from harvester_ray.index.build import (
     ENGINE_VERSION,
     IndexPaths,
     build_index,
+    read_segment_postings,
 )
 from harvester_ray.index.query import QueryActor
-from harvester_ray.stages.joins import join_parquet_side
+from harvester_ray.stages.joins import ds_join, join_parquet_side
 from harvester_ray.stages.topk import topk_per_key
 
 # (query_id, query, mode) — stable ids; OR queries first, AND after.
@@ -157,10 +158,11 @@ def terms_enum(sf_dir: str) -> "ray.data.Dataset":
 
 
 def postings(sf_dir: str) -> "ray.data.Dataset":
-    """(term, doc_id, tf) — the raw posting rows."""
+    """(term, doc_id, tf) — the posting rows, decoded from the
+    segments."""
     paths = index_for(sf_dir)
-    return ray.data.read_parquet(
-        paths.postings, columns=["term", "doc_id", "tf"]
+    return read_segment_postings(paths).select_columns(
+        ["term", "doc_id", "tf"]
     ).map_batches(
         lambda t: t.set_column(
             t.column_names.index("tf"), "tf", t["tf"].cast(pa.int64())
@@ -705,26 +707,18 @@ def _query_joined_postings(
     sf_dir: str, paths: "IndexPaths", all_terms: list
 ) -> "ray.data.Dataset":
     """(term, doc_id, tf, doc_len) for the OR query set's terms — the
-    pruned postings read + doc_len hash join every weighting's match
-    set starts from, materialized ONCE per sf_dir and shared (the join
-    is the expensive step; the per-weighting scoring maps are cheap).
-    all_terms is a pure function of the fixed query set, so the cache
-    key needs only sf_dir."""
-
-    def build() -> "ray.data.Dataset":
-        import pyarrow.dataset as pads
-
-        post = ray.data.read_parquet(
-            paths.postings,
-            columns=["term", "doc_id", "tf"],
-            filter=pads.field("term").isin(all_terms),
-        )
-        return join_parquet_side(
-            post, paths.doc_table,
-            columns=["doc_id", "doc_len"], on=["doc_id"],
-        )
-
-    return _match_set_cached(sf_dir, "qjoined", build)
+    term-pruned segment decode every weighting's match set starts from
+    (doc_len rides on every decoded posting, so no doc-table join),
+    materialized ONCE per sf_dir and shared (the per-weighting scoring
+    maps are cheap). all_terms is a pure function of the fixed query
+    set, so the cache key needs only sf_dir."""
+    return _match_set_cached(
+        sf_dir,
+        "qjoined",
+        lambda: read_segment_postings(paths, all_terms).select_columns(
+            ["term", "doc_id", "tf", "doc_len"]
+        ),
+    )
 
 
 def _weighted_match_set_build(
@@ -732,8 +726,8 @@ def _weighted_match_set_build(
 ) -> "ray.data.Dataset":
     """(query_id, doc_id, score_fp) — exhaustive scoring over each OR
     query's FULL match set under the named weighting, recomputed
-    distributedly from the raw postings (not the top-k actor): pruned
-    postings read → doc_len hash join → per-posting fixed-point-8
+    distributedly from the segment postings (not the top-k actor):
+    term-pruned segment decode → per-posting fixed-point-8
     score → (query, doc) integer sum. Every float becomes an integer
     at the ROW, so the distributed sums are exact and rank-stable
     against the SQL oracles. Weightings (each one per-term driver
@@ -2700,11 +2694,14 @@ def significant_terms(sf_dir: str) -> "ray.data.Dataset":
     )
 
     fg = (
-        join_parquet_side(
+        ds_join(
             scored.select_columns(["query_id", "doc_id"]),
-            paths.postings,
-            columns=["term", "doc_id"],
+            read_segment_postings(paths).select_columns(["term", "doc_id"]),
             on=["doc_id"],
+            schemas=(
+                pa.schema([("query_id", pa.int64()), ("doc_id", pa.int64())]),
+                pa.schema([("term", pa.string()), ("doc_id", pa.int64())]),
+            ),
         )
         .groupby(["query_id", "term"])
         .aggregate(Count(alias_name="df_fg"))
@@ -2982,7 +2979,7 @@ def termvectors(sf_dir: str) -> "ray.data.Dataset":
     pinned doc set, its full term vector — (doc_id, term, tf, df,
     tfidf_fp) with tfidf_fp = fp8((1 + ln tf) · ln((N+1)/(df+1))), the
     doc-local tf-idf weight (no length norm — term vectors are
-    per-doc). Shuffle shape: a doc-filtered postings read streams;
+    per-doc). Shuffle shape: a doc-filtered segment decode streams;
     each batch resolves its UNIQUE terms' df by a pruned row-group
     read of the dictionary (actor-local lookup, the positional-shard
     pattern) — no corpus shuffle, no dictionary broadcast. Logs via
@@ -2992,17 +2989,18 @@ def termvectors(sf_dir: str) -> "ray.data.Dataset":
     import math
 
     import numpy as np
-    import pyarrow.dataset as pads
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     paths = index_for(sf_dir)
     with open(paths.stats) as f:
         n_docs = float(_json.load(f)["n_docs"])
 
-    post = ray.data.read_parquet(
-        paths.postings,
-        columns=["term", "doc_id", "tf"],
-        filter=pads.field("doc_id") < TV_MAX_DOC,
+    post = read_segment_postings(paths).map_batches(
+        lambda t: t.filter(pc.less(t["doc_id"], TV_MAX_DOC)).select(
+            ["term", "doc_id", "tf"]
+        ),
+        batch_format="pyarrow",
     )
 
     dict_path = paths.dictionary
@@ -3219,8 +3217,8 @@ def doc_keywords(sf_dir: str) -> "ray.data.Dataset":
     with open(paths.stats) as f:
         n_docs = float(_json.load(f)["n_docs"])
 
-    post = ray.data.read_parquet(
-        paths.postings, columns=["term", "doc_id", "tf"]
+    post = read_segment_postings(paths).select_columns(
+        ["term", "doc_id", "tf"]
     )
     joined = join_parquet_side(
         post, paths.dictionary, columns=["term", "df"], on=["term"],
@@ -3383,11 +3381,9 @@ def export_sorted(sf_dir: str) -> "ray.data.Dataset":
     import pyarrow.dataset as pads
 
     paths = index_for(sf_dir)
-    matched = ray.data.read_parquet(
-        paths.postings,
-        columns=["term", "doc_id"],
-        filter=pads.field("term") == EXPORT_TERM,
-    ).select_columns(["doc_id"])
+    matched = read_segment_postings(paths, [EXPORT_TERM]).select_columns(
+        ["doc_id"]
+    )
     joined = join_parquet_side(
         matched,
         os.path.join(sf_dir, "documents.parquet"),
@@ -3513,17 +3509,19 @@ def vocab_growth(sf_dir: str) -> pa.Table:
     (reference sizes its Solr schema once, by hand; here the curve is
     computed from the built index).
 
-    Scale shape: ZERO shuffle — the postings are hive-bucketed by
-    hash(term), so every term's postings live in exactly one bucket
-    dir and a per-bucket task computes its terms' exact first
-    occurrences locally (the same partitioning fact the dictionary
-    build exploits, index/build.py dict_bucket). Each task returns an
-    N-cell histogram; the driver folds ≤ num_term_buckets such arrays.
-    max_id comes from parquet row-group statistics (no data read)."""
+    Scale shape: ZERO shuffle — the segment files are named by term
+    bucket, hash(term) % num_term_buckets, so every term's blocks live
+    in one bucket's files and a per-bucket task computes its terms'
+    exact first occurrences locally (the same partitioning fact the
+    dictionary build exploits, index/build.py dict_bucket). A term's
+    first occurrence is the least ``first_doc_id`` of its blocks, so
+    no block is decoded. Each task returns an N-cell histogram; the
+    driver folds ≤ num_term_buckets such arrays. max_id comes from
+    parquet row-group statistics (no data read)."""
     import numpy as np
     import pyarrow.parquet as pq
 
-    from harvester_ray.index.build import _present_buckets
+    from harvester_ray.index.build import segment_files_by_bucket
 
     paths = index_for(sf_dir)
     meta = pq.ParquetFile(
@@ -3542,12 +3540,10 @@ def vocab_growth(sf_dir: str) -> pa.Table:
     )
 
     @ray.remote(num_cpus=1)
-    def vg_bucket(bdir: str, cps_: np.ndarray) -> np.ndarray:
-        import pyarrow.dataset as pads
-
-        t = pads.dataset(bdir).to_table(columns=["term", "doc_id"])
-        g = t.group_by("term").aggregate([("doc_id", "min")])
-        fd = g["doc_id_min"].to_numpy(zero_copy_only=False)
+    def vg_bucket(files: list[str], cps_: np.ndarray) -> np.ndarray:
+        t = pq.read_table(files, columns=["term_id", "first_doc_id"])
+        g = t.group_by("term_id").aggregate([("first_doc_id", "min")])
+        fd = g["first_doc_id_min"].to_numpy(zero_copy_only=False)
         # smallest checkpoint index holding fd (cp_N = max_id >= any fd)
         return np.bincount(
             np.searchsorted(cps_, fd), minlength=len(cps_)
@@ -3555,10 +3551,8 @@ def vocab_growth(sf_dir: str) -> pa.Table:
 
     hists = ray.get(
         [
-            vg_bucket.remote(
-                os.path.join(paths.postings, f"bucket={b}"), cps
-            )
-            for b in _present_buckets(paths.postings)
+            vg_bucket.remote(files, cps)
+            for files in segment_files_by_bucket(paths.segments).values()
         ]
     )
     folded = np.sum(hists, axis=0) if hists else np.zeros(len(cps), np.int64)
@@ -3844,13 +3838,12 @@ def rank_eval(sf_dir: str) -> "ray.data.Dataset":
 
     Scale shape: retrieved is query-bounded (|Q| x TOP_K — a driver
     fold by design); the corpus-scale relevance set never materializes
-    — a pruned postings read expands to (query, doc) rows, ONE grouped
-    count finds full-conjunction docs, and per-batch partials reduce
-    to |Q| rows. MRR's first-hit rank rides the same aggregate as a
-    Min over sentinel-coded ranks."""
+    — a term-pruned segment decode expands to (query, doc) rows, ONE
+    grouped count finds full-conjunction docs, and per-batch partials
+    reduce to |Q| rows. MRR's first-hit rank rides the same aggregate
+    as a Min over sentinel-coded ranks."""
     import numpy as np
     import pyarrow.compute as pc
-    import pyarrow.dataset as pads
     from ray.data.aggregate import Count, Min, Sum
 
     from harvester_ray.functions.text import tokenize
@@ -3880,10 +3873,8 @@ def rank_eval(sf_dir: str) -> "ray.data.Dataset":
     for qid, nt in n_terms.items():
         nt_arr[qid] = nt
 
-    post = ray.data.read_parquet(
-        paths.postings,
-        columns=["term", "doc_id"],
-        filter=pads.field("term").isin(all_terms),
+    post = read_segment_postings(paths, all_terms).select_columns(
+        ["term", "doc_id"]
     )
 
     def expand(t: pa.Table) -> pa.Table:

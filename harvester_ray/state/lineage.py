@@ -86,6 +86,25 @@ def _dir_stats(path: str) -> tuple[int, int]:
     return rows, nbytes
 
 
+def stage_key(input_fingerprint: str, params: str = "") -> str:
+    """The lineage key ``run_stage`` records for a stage run on
+    (fingerprint, params) at this engine version."""
+    return hashlib.md5(
+        f"{input_fingerprint}|{params}|v{ENGINE_VERSION}".encode()
+    ).hexdigest()
+
+
+def stage_is_current(
+    out_dir: str, input_fingerprint: str, params: str = ""
+) -> bool:
+    """Whether ``run_stage`` would skip this stage: ``out_dir`` holds
+    committed output for the same (fingerprint, params)."""
+    rec = read_lineage(out_dir)
+    return rec is not None and rec.get("key") == stage_key(
+        input_fingerprint, params
+    )
+
+
 def run_stage(
     name: str,
     out_dir: str,
@@ -96,9 +115,7 @@ def run_stage(
     """Run ``fn(tmp_out_dir)`` unless ``out_dir`` already holds output
     for the same (fingerprint, params, engine version). Returns the
     lineage record; record["skipped"] tells whether it resumed."""
-    key = hashlib.md5(
-        f"{input_fingerprint}|{params}|v{ENGINE_VERSION}".encode()
-    ).hexdigest()
+    key = stage_key(input_fingerprint, params)
     # clean ALL stale tmps (any pid) up front — even when the stage
     # itself skips: a crashed run leaves '{out_dir}.tmp-<deadpid>'
     # behind, which must never be globbed as output by downstream

@@ -1,8 +1,11 @@
 """Row-group-pruned doc-chunk reads (segment_doc_chunks > 1):
 
-- the SPIMI bucket side-writes are doc_id-sorted with sized row
-  groups, and each chunk task's range filter prunes its read to a
-  fraction of the bucket's row groups (the ×S read-amplification fix),
+- the SPIMI bucket side-writes (the build's scratch, deleted once the
+  segments commit, so these tests write them with
+  ``make_spimi_with_sides`` into a directory of their own) are
+  doc_id-sorted with sized row groups, and each chunk task's range
+  filter prunes its read to a fraction of the bucket's row groups (the
+  ×S read-amplification fix),
 - the filtered read is EXACTLY equivalent to the old read-everything-
   then-mask logic (segments identical table-for-table),
 - a chunked build serves postings/queries identical to an unchunked
@@ -24,6 +27,7 @@ from harvester_ray.index.build import (
     _chunk_signed_range,
     build_index,
     chunk_of_ids,
+    make_spimi_with_sides,
 )
 from harvester_ray.index.query import InvertedIndex
 
@@ -54,6 +58,25 @@ def chunked_build(tmp_path_factory, ray_session):
     cfg1 = IndexConfig(num_term_buckets=4, segment_doc_chunks=1)
     build_index(ray.data.from_arrow(docs), out1, cfg1, n_docs=N_DOCS)
     return out, out1
+
+
+@pytest.fixture(scope="module")
+def spimi_postings(tmp_path_factory, chunked_build):
+    """The chunked build's SPIMI postings: the same side-write function
+    over the same docs as one batch (N_DOCS is below SPIMI_BATCH_ROWS,
+    so the build also wrote them as one batch), into a directory of
+    its own. Returns (postings root, the build's chunk bounds)."""
+    root = tmp_path_factory.mktemp("spimi")
+    post_root = str(root / "postings")
+    os.makedirs(post_root)
+    os.makedirs(root / "doc_table")
+    write = make_spimi_with_sides(
+        str(root / "doc_table"), post_root, 4, doc_chunks=N_CHUNKS
+    )
+    write(_scattered_docs())
+    out, _ = chunked_build
+    assert not os.path.exists(IndexPaths(out).postings)
+    return post_root, _bounds(out)
 
 
 def _bounds(out: str) -> np.ndarray:
@@ -87,9 +110,8 @@ def _overlapping_row_groups(bucket_dir: str, lo: int, hi: int):
     return overlap, total
 
 
-def test_chunk_reads_are_row_group_pruned(chunked_build, ray_session):
-    out, _ = chunked_build
-    post_root = IndexPaths(out).postings
+def test_chunk_reads_are_row_group_pruned(spimi_postings):
+    post_root, bounds = spimi_postings
     buckets = [
         d for d in os.listdir(post_root) if d.startswith("bucket=")
     ]
@@ -101,7 +123,7 @@ def test_chunk_reads_are_row_group_pruned(chunked_build, ray_session):
         if total < 2 * N_CHUNKS:
             continue  # too few row groups for pruning to show
         for chunk in range(N_CHUNKS):
-            lo, hi = _chunk_signed_range(chunk, _bounds(out))
+            lo, hi = _chunk_signed_range(chunk, bounds)
             overlap, total = _overlapping_row_groups(bdir, lo, hi)
             # a chunk touches ~1/N_CHUNKS of the row groups (+1 file
             # boundary group); well under half the bucket
@@ -110,12 +132,10 @@ def test_chunk_reads_are_row_group_pruned(chunked_build, ray_session):
     assert checked > 0, "no bucket had enough row groups to exercise pruning"
 
 
-def test_filtered_read_equals_mask_logic(chunked_build, ray_session):
+def test_filtered_read_equals_mask_logic(spimi_postings):
     """The range filter used by encode_bucket_chunk returns exactly the
     rows the old read-all-then-mask logic kept (same rows, any order)."""
-    out, _ = chunked_build
-    post_root = IndexPaths(out).postings
-    bounds = _bounds(out)
+    post_root, bounds = spimi_postings
     for bd in sorted(os.listdir(post_root)):
         if not bd.startswith("bucket="):
             continue

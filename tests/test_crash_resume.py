@@ -1,11 +1,13 @@
 """Kill-and-restart resume (SURVEY.md §5 / north-rule requirement):
-a build whose process dies right after the SPIMI stage commits must,
-on restart, skip the finished stage and produce a logically identical
+a build whose process dies right after a stage commits must, on
+restart, skip the finished stages and produce a logically identical
 index to an uninterrupted build."""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 BUILD_SCRIPT = """
 import sys
@@ -41,11 +43,22 @@ def _run(out_dir: str, fail_after: str | None = None):
     )
 
 
-def test_crash_after_spimi_then_resume(tmp_path):
+@pytest.fixture(scope="module")
+def clean_digest(tmp_path_factory):
+    """Digest of an uninterrupted reference build."""
+    from tests.test_lineage import _index_digest
+
+    clean = str(tmp_path_factory.mktemp("clean") / "idx")
+    r = _run(clean)
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert not os.path.exists(os.path.join(clean, "spimi", "postings"))
+    return _index_digest(clean)
+
+
+def test_crash_after_spimi_then_resume(tmp_path, clean_digest):
     from harvester_ray.state.lineage import read_lineage
 
     crashed = str(tmp_path / "crashed")
-    clean = str(tmp_path / "clean")
 
     # run 1: process dies (exit 17) right after the spimi stage commits
     r1 = _run(crashed, fail_after="spimi")
@@ -61,10 +74,34 @@ def test_crash_after_spimi_then_resume(tmp_path):
     spimi_rec = read_lineage(os.path.join(crashed, "spimi"))
     assert spimi_rec is not None  # untouched by run 2 (same key)
 
-    # uninterrupted reference build
-    r3 = _run(clean)
-    assert r3.returncode == 0, r3.stderr[-2000:]
+    from tests.test_lineage import _index_digest
+
+    assert _index_digest(crashed) == clean_digest
+
+
+def test_crash_after_segments_then_resume(tmp_path, clean_digest):
+    """The process dies after the segments commit and before the SPIMI
+    scratch is deleted: the restart skips all three stages, deletes the
+    leftover scratch and leaves the same index."""
+    from harvester_ray.state.lineage import read_lineage
+
+    crashed = str(tmp_path / "crashed")
+    r1 = _run(crashed, fail_after="segments")
+    assert r1.returncode == 17, r1.stderr[-2000:]
+    assert os.path.isdir(os.path.join(crashed, "spimi", "postings"))
+    recs = {
+        s: read_lineage(os.path.join(crashed, s))
+        for s in ("spimi", "dictionary", "segments")
+    }
+    assert all(recs.values())
+
+    r2 = _run(crashed)
+    assert r2.returncode == 0, r2.stderr[-2000:]
+    assert "BUILD_COMPLETE" in r2.stdout
+    for s, rec in recs.items():
+        assert read_lineage(os.path.join(crashed, s)) == rec, s
+    assert not os.path.exists(os.path.join(crashed, "spimi", "postings"))
 
     from tests.test_lineage import _index_digest
 
-    assert _index_digest(crashed) == _index_digest(clean)
+    assert _index_digest(crashed) == clean_digest

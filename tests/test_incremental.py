@@ -225,14 +225,22 @@ def test_merge_sources_equals_fresh_build(tmp_path, ray_session):
     for q, mode in QUERIES:
         for d, _s in idx_m.search(q, k=50, mode=mode):
             assert d not in doomed
-    # the merged index is itself re-mergeable (postings retained) and
-    # carries no deltas/tombstones forward
+    # the merged index stores its postings only in its segments (no
+    # spimi/postings), carries no deltas/tombstones forward, and is
+    # itself re-mergeable into an index that ranks the same
     from harvester_ray.index.build import IndexPaths
     from harvester_ray.index.maintenance import delta_dirs, load_tombstones
 
-    assert os.path.isdir(IndexPaths(merged.root).postings)
+    assert not os.path.exists(IndexPaths(merged.root).postings)
+    for src in (base_dir, *delta_dirs(base_dir)):
+        assert not os.path.exists(IndexPaths(src).postings), src
     assert delta_dirs(merged.root) == []
     assert len(load_tombstones(merged.root)) == 0
+    again = merge_sources(merged.root, str(tmp_path / "merged2"))
+    assert not os.path.exists(again.postings)
+    idx_again = InvertedIndex(again.root, preload=True)
+    assert idx_again.dictionary == idx_m.dictionary
+    assert _search_all(idx_again) == got
 
 
 def test_merge_sources_multi_chunk_sharded(tmp_path, ray_session):
@@ -313,12 +321,57 @@ def test_merge_sources_rejects_non_bucket_source(tmp_path, ray_session):
     assert _tree_bytes(str(out_dir)) == {"keep.txt": b"untouched"}
 
 
+def test_leftover_spimi_postings_are_not_read(tmp_path, ray_session):
+    """Indexes written before the SPIMI scratch was deleted still hold
+    spimi/postings. Nothing reads it: with junk rows in it, such an
+    index opens, searches and merges exactly as one without it."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from harvester_ray.index.build import IndexPaths
+    from harvester_ray.index.maintenance import delta_dirs, merge_sources
+
+    a = generate_zipf_docs(200, vocab_size=300, mean_len=30, seed=71)
+    b = generate_zipf_docs(
+        80, vocab_size=300, mean_len=30, seed=72, doc_id_offset=200
+    )
+    clean = str(tmp_path / "clean")
+    build_index(ray.data.from_arrow(a), clean, n_docs=len(a))
+    add_docs(clean, ray.data.from_arrow(b), n_docs=len(b))
+    delete_docs(clean, [4, 210])
+    legacy = str(tmp_path / "legacy")
+    shutil.copytree(clean, legacy)
+    junk = pa.table(
+        {
+            "term": ["w0"],
+            "term_id": pa.array([1], pa.int64()),
+            "doc_id": pa.array([999_999], pa.int64()),
+            "tf": pa.array([7], pa.int32()),
+            "doc_len": pa.array([7], pa.int32()),
+        }
+    )
+    for src in (legacy, *delta_dirs(legacy)):
+        bdir = os.path.join(IndexPaths(src).postings, "bucket=0")
+        os.makedirs(bdir)
+        pq.write_table(junk, os.path.join(bdir, "part-0.parquet"))
+
+    assert _search_all(InvertedIndex(legacy, preload=True)) == _search_all(
+        InvertedIndex(clean, preload=True)
+    )
+    m_clean = merge_sources(clean, str(tmp_path / "m_clean"))
+    m_legacy = merge_sources(legacy, str(tmp_path / "m_legacy"))
+    assert not os.path.exists(m_legacy.postings)
+    assert _tree_bytes(m_legacy.root) == _tree_bytes(m_clean.root)
+
+
 def test_string_and_large_string_sources_merge(tmp_path, ray_session):
     """A large_string-text base plus a string-text delta: open,
     reopen() and merge_sources all equal a fresh build over the union.
-    SPIMI writes pa.string() terms; the base's term columns are then
-    rewritten as large_string, as sources written before that fix hold
-    them, so the open and merge paths must unify the types."""
+    SPIMI writes pa.string() terms; the base's dictionary and segment
+    term columns are then rewritten as large_string, as sources written
+    before that fix hold them, so the open and merge paths (the merge
+    decodes the segments) must unify the types."""
     import pyarrow.parquet as pq
 
     from harvester_ray.index.build import IndexPaths
@@ -336,7 +389,7 @@ def test_string_and_large_string_sources_merge(tmp_path, ray_session):
     base = IndexPaths(base_dir)
     term_files = [
         os.path.join(d, f)
-        for root in (base.dictionary, base.postings)
+        for root in (base.dictionary, base.segments)
         for d, _dirs, files in os.walk(root)
         for f in files
         if f.endswith(".parquet")

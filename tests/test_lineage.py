@@ -53,6 +53,19 @@ def _block_rows_digest(seg_dir: str) -> str:
     return h.hexdigest()
 
 
+def _tree(index_dir: str) -> dict:
+    """{relpath: (bytes, mtime_ns)} of every file under index_dir."""
+    out = {}
+    for root, _dirs, files in os.walk(index_dir):
+        for f in files:
+            fp = os.path.join(root, f)
+            with open(fp, "rb") as fh:
+                out[os.path.relpath(fp, index_dir)] = (
+                    fh.read(), os.stat(fp).st_mtime_ns,
+                )
+    return out
+
+
 def test_run_stage_skip_and_invalidate(tmp_path):
     out = str(tmp_path / "stage_out")
     calls = []
@@ -88,18 +101,30 @@ def test_build_resume_is_noop_and_identical(tmp_path, ray_session):
         s: read_lineage(os.path.join(out, s))
         for s in ("spimi", "dictionary", "segments")
     }
+    # the SPIMI postings are scratch: gone once the segments commit
+    assert not os.path.exists(os.path.join(out, "spimi", "postings"))
+    tree1 = _tree(out)
 
-    # full re-run: every stage must skip
+    # full re-run: every stage must skip, although the scratch the
+    # dictionary and segments were built from is gone — no stage
+    # output is rewritten, and stats.json is rewritten byte-identical
+    build_index(docs(), out, input_fingerprint=fp)
+    tree2 = _tree(out)
+    assert tree2.keys() == tree1.keys()
+    for rel, (data, mtime) in tree1.items():
+        assert tree2[rel][0] == data, rel
+        if rel != "stats.json":
+            assert tree2[rel][1] == mtime, rel
+    assert _index_digest(out) == digest1
+
+    # interrupted run: segments lost, earlier stages intact; the
+    # segments need the deleted scratch, so the SPIMI pass re-runs
+    # under the same key and the segments come back identical
+    shutil.rmtree(os.path.join(out, "segments"))
     build_index(docs(), out, input_fingerprint=fp)
     for s in ("spimi", "dictionary", "segments"):
         assert read_lineage(os.path.join(out, s))["key"] == lin1[s]["key"]
-    assert _index_digest(out) == digest1
-
-    # interrupted run: segments lost, earlier stages intact
-    shutil.rmtree(os.path.join(out, "segments"))
-    build_index(docs(), out, input_fingerprint=fp)
-    # postings untouched (same lineage object), segments rebuilt identically
-    assert read_lineage(os.path.join(out, "spimi"))["key"] == lin1["spimi"]["key"]
+    assert not os.path.exists(os.path.join(out, "spimi", "postings"))
     assert _index_digest(out) == digest1
 
 
